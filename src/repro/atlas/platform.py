@@ -340,8 +340,10 @@ class AtlasPlatform:
     ) -> np.ndarray:
         """Min-RTT matrix (probes x targets); NaN marks missing responses.
 
-        The vectorised path of the engine — identical numbers to per-pair
-        :meth:`ping` calls, at campaign scale.
+        The vectorised path of the engine, at campaign scale: the same
+        loss pattern as per-pair :meth:`ping` calls, and RTTs within a few
+        ulps of theirs (see
+        :meth:`~repro.latency.model.LatencyModel.bulk_min_rtt`).
 
         Raises:
             AtlasApiError: when the fault layer fails the API call (the
@@ -508,10 +510,35 @@ class AtlasPlatform:
         seq: int = 0,
         window: int = 0,
     ) -> Dict[str, Dict[int, Optional[TraceObservation]]]:
-        """Batch traceroute execution only (see :meth:`execute_ping`)."""
+        """Batch traceroute execution only (see :meth:`execute_ping`).
+
+        One kernel call (:meth:`~repro.latency.model.LatencyModel.traceroutes`)
+        computes every traceroute the batch could deliver: known probes
+        with a live session, to targets in the routed space. The per-pair
+        steps then run in (target, probe) order — probe validation, the
+        churn/loss draw, the session check, and the armed checker — and
+        decide which results are delivered, so fault draws, checks and
+        their events interleave exactly as with one traceroute at a time.
+        """
+        targets = [self.world.try_host(target_ip) for target_ip in target_ips]
+        sources = {
+            probe_id: self.world.host_by_id(probe_id)
+            for probe_id in probe_ids
+            if probe_id in self._infos
+        }
+        pairs: List[Tuple[Host, Host]] = []
+        pair_of: Dict[Tuple[str, int], int] = {}
+        for target_ip, target in zip(target_ips, targets):
+            if target is None:
+                continue
+            for probe_id in probe_ids:
+                source = sources.get(probe_id)
+                if source is not None and source.responsive:
+                    pair_of[(target_ip, probe_id)] = len(pairs)
+                    pairs.append((source, target))
+        traces = self.latency.traceroutes(pairs, seq=seq)
         results: Dict[str, Dict[int, Optional[TraceObservation]]] = {}
-        for target_ip in target_ips:
-            target = self.world.try_host(target_ip)
+        for target_ip, target in zip(target_ips, targets):
             per_probe: Dict[int, Optional[TraceObservation]] = {}
             for probe_id in probe_ids:
                 if target is None:
@@ -521,11 +548,13 @@ class AtlasPlatform:
                 if self._measurement_failed("traceroute", probe_id, target_ip, seq, window):
                     per_probe[probe_id] = None
                     continue
-                source = self.world.host_by_id(probe_id)
+                source = sources[probe_id]
                 if not source.responsive:
                     per_probe[probe_id] = None  # disconnected probe
                     continue
-                per_probe[probe_id] = self.latency.traceroute(source, target, seq=seq)
+                trace = traces[pair_of[(target_ip, probe_id)]]
+                self.latency.check_traceroute(source, target, seq, trace)
+                per_probe[probe_id] = trace
             results[target_ip] = per_probe
         return results
 

@@ -10,9 +10,11 @@ Three layers of runtime correctness tooling for the measurement substrate
   / ``--check``, free when off (:data:`NULL_CHECKER`).
 * :mod:`repro.check.diff` — a differential harness running campaigns
   through paired paths (batched vs loop CBG, serial vs parallel, cold vs
-  warm cache, serving engine vs batch campaign) and asserting bitwise
-  equality; exposed as ``experiments/run.py --selfcheck`` and a pytest
-  fixture.
+  warm cache, serving engine vs batch campaign, street-level arrays vs
+  scalar oracles) and asserting bitwise equality; exposed as
+  ``experiments/run.py --selfcheck`` and a pytest fixture.
+* :mod:`repro.check.oracles` — the scalar loops the street-level array
+  kernels replaced, kept as their reference.
 * :mod:`repro.check.fuzz` — a seeded mini-world fuzzer feeding the
   property suite random-but-valid :class:`~repro.world.config.WorldConfig`
   instances.
@@ -25,6 +27,7 @@ from repro.check.diff import (
     diff_cold_vs_warm_cache,
     diff_serial_vs_parallel,
     diff_serve_vs_batch,
+    diff_street_level,
     diff_topology,
     run_selfcheck,
 )
@@ -53,6 +56,7 @@ __all__ = [
     "diff_cold_vs_warm_cache",
     "diff_serial_vs_parallel",
     "diff_serve_vs_batch",
+    "diff_street_level",
     "diff_topology",
     "fuzz_config",
     "fuzz_configs",

@@ -1,6 +1,6 @@
 """Differential self-verification: run paired paths, assert equal bytes.
 
-The substrate promises seven expensive equivalences:
+The substrate promises eight expensive equivalences:
 
 * the batched CBG kernel computes exactly what the per-target reference
   loop computes (``repro.core.cbg_batch``);
@@ -19,12 +19,16 @@ The substrate promises seven expensive equivalences:
   (``repro.hints``);
 * the serving engine followed through epoch swaps over a churning world
   answers exactly what a fresh batch run on each revision's snapshot
-  computes (``repro.evolve`` + ``repro.serve``).
+  computes (``repro.evolve`` + ``repro.serve``);
+* the street-level tiers, run as array programs with certified decisions,
+  geolocate exactly what the scalar per-circle, per-city and per-hop
+  loops of :mod:`repro.check.oracles` do (``repro.geo``,
+  ``repro.world.cities``, ``repro.latency``).
 
 Each promise is pinned by golden tests, but those only run under pytest.
 This module packages the same comparisons as a *runtime* harness: each
 ``diff_*`` function runs one campaign through both sides of a pair and
-compares outputs bitwise, and :func:`run_selfcheck` bundles all seven into
+compares outputs bitwise, and :func:`run_selfcheck` bundles all eight into
 the :class:`SelfCheckReport` behind ``experiments/run.py --selfcheck``
 (exit 0 iff every pair agrees) and the ``selfcheck_report`` pytest
 fixture. The paired computations are invoked through their *modules*, so
@@ -592,13 +596,102 @@ def diff_serve_under_churn(scenario, revisions: int = 3) -> DiffOutcome:
     )
 
 
+def street_result_key(result) -> str:
+    """Canonical text of everything a street-level result decides.
+
+    Estimates, the chosen landmark, every measured (hostname,
+    best_delay_ms), the traceroute count, and the simulated time with its
+    breakdown; floats appear as their round-trip ``repr``, so equal keys
+    mean bitwise-equal results.
+    """
+
+    def point(p):
+        return None if p is None else (p.lat, p.lon)
+
+    chosen = result.chosen.landmark.hostname if result.chosen is not None else None
+    return repr(
+        (
+            result.target_ip,
+            point(result.estimate),
+            point(result.tier1_estimate),
+            result.used_fallback_soi,
+            result.fell_back_to_cbg,
+            chosen,
+            [(m.landmark.hostname, m.delay.best_delay_ms) for m in result.measurements],
+            result.traceroutes_run,
+            result.elapsed_s,
+            sorted(result.time_breakdown.items()),
+        )
+    )
+
+
+def diff_street_level(scenario, targets: int = 4) -> DiffOutcome:
+    """Street-level tiers as arrays vs the scalar oracles, bitwise.
+
+    Geolocates an evenly spaced handful of the scenario's targets through
+    :class:`~repro.core.street_level.StreetLevelPipeline` twice, with the
+    anchor mesh as tier-1 RTTs: first with the scalar oracles of
+    :mod:`repro.check.oracles` swapped in (the run that materialises the
+    world's points of interest in visit order), then through the array
+    kernels, and compares :func:`street_result_key` of every result. The
+    kernels are looked up through their modules and classes, so a
+    patched (broken) kernel diverges visibly.
+    """
+    from repro.check import oracles
+    from repro.core.street_level import StreetLevelPipeline
+
+    pair = "street: arrays vs scalar"
+    anchors = scenario.anchor_vp_infos()
+    mesh_ids, mesh = scenario.mesh()
+    row_of = {anchor_id: row for row, anchor_id in enumerate(mesh_ids)}
+    stride = max(1, len(scenario.targets) // max(targets, 1))
+    chosen = [t for t in scenario.targets[::stride] if t.host_id in row_of][:targets]
+
+    def run() -> List[object]:
+        pipeline = StreetLevelPipeline(scenario.client, scenario.world)
+        results = []
+        for target in chosen:
+            column = row_of[target.host_id]
+            rtts = {
+                anchor_id: (
+                    None if np.isnan(mesh[row, column]) else float(mesh[row, column])
+                )
+                for anchor_id, row in row_of.items()
+            }
+            results.append(pipeline.geolocate(target.ip, anchors, rtts))
+        return results
+
+    with oracles.scalar_street_tiers():
+        scalar = run()
+    arrays = run()
+    for expected, got in zip(scalar, arrays):
+        if street_result_key(expected) != street_result_key(got):
+            return DiffOutcome(
+                pair,
+                ok=False,
+                compared=len(chosen),
+                detail=f"target {got.target_ip} diverges: arrays "
+                f"{street_result_key(got)} vs scalar {street_result_key(expected)}",
+            )
+    traceroutes = sum(result.traceroutes_run for result in arrays)
+    landmarks = sum(len(result.measurements) for result in arrays)
+    repaired = sum(result.used_fallback_soi for result in arrays)
+    return DiffOutcome(
+        pair,
+        ok=True,
+        compared=len(chosen),
+        detail=f"{len(chosen)} targets ({repaired} via tier-1 repair and 2/3 c), "
+        f"{landmarks} landmarks, {traceroutes} traceroutes",
+    )
+
+
 def run_selfcheck(
     preset: str = "quick",
     seed: Optional[int] = None,
     trials: int = 3,
     workers: int = 2,
 ) -> SelfCheckReport:
-    """Run all seven paired-path comparisons over one preset world."""
+    """Run all eight paired-path comparisons over one preset world."""
     from repro.experiments.scenario import Scenario, config_for_preset
 
     config = config_for_preset(preset, seed)
@@ -613,4 +706,5 @@ def run_selfcheck(
     report.outcomes.append(diff_serve_vs_batch(scenario))
     report.outcomes.append(diff_hints(scenario, workers=workers))
     report.outcomes.append(diff_serve_under_churn(scenario))
+    report.outcomes.append(diff_street_level(scenario))
     return report

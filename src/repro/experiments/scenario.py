@@ -71,6 +71,12 @@ class Scenario:
     _derived_arrays: Dict[str, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: street-level campaign records per target cap, owned by the scenario
+    #: they describe (filled by
+    #: :func:`~repro.experiments.street_runner.street_level_records`).
+    street_records: Dict[Optional[int], list] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def _derived(self, key: str, build) -> np.ndarray:
         array = self._derived_arrays.get(key)

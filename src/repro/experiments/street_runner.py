@@ -3,13 +3,15 @@
 Running the three-tier pipeline over every target is the replication's most
 expensive campaign, and five separate artefacts consume its outputs
 (Figures 5a/5b/5c and 6a/6c). This module runs it once per scenario and
-caches the per-target records.
+keeps the per-target records on the scenario itself
+(:attr:`Scenario.street_records`), so they live and die with the
+scenario they describe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -60,11 +62,10 @@ class TargetRecord:
         return unusable / len(self.landmark_measured_km)
 
 
-_CACHE: Dict[Tuple[int, Optional[int]], List[TargetRecord]] = {}
-
 #: Shared campaign context for target workers; populated before the
 #: executor call so forked workers inherit the pipeline and mesh without
-#: pickling them per item (the serial path reads the same globals).
+#: pickling them per item (the serial path reads the same globals), and
+#: emptied when the campaign returns.
 _STREET_CTX: Dict[str, object] = {}
 
 
@@ -95,15 +96,16 @@ def street_level_records(
     """Run (or reuse) the street level campaign over the scenario targets.
 
     Args:
-        scenario: the sanitized scenario.
+        scenario: the sanitized scenario; default-configuration records
+            are kept in its :attr:`~Scenario.street_records`, keyed by
+            ``max_targets``.
         max_targets: cap on targets (evenly subsampled) — the full 723-
             target campaign is minutes of compute; benchmarks default to a
             subset unless the environment requests the full run.
         config: optional pipeline configuration override (uncached runs).
     """
-    key = (id(scenario), max_targets)
-    if config is None and key in _CACHE:
-        return _CACHE[key]
+    if config is None and max_targets in scenario.street_records:
+        return scenario.street_records[max_targets]
 
     anchors = scenario.anchor_vp_infos()
     mesh_ids, mesh = scenario.mesh()
@@ -128,19 +130,22 @@ def street_level_records(
         pipeline=pipeline,
         anchors=anchors,
     )
-    # Observed campaigns fan out too: workers capture per-target
-    # counters/events/spans and the executor folds them back into the
-    # live observer, byte-identical to a serial observed run.
-    records = parallel_map(
-        _street_target,
-        range(len(targets)),
-        obs=pipeline.obs,
-        checker=scenario.checker,
-        live=getattr(scenario, "live", None),
-    )
+    try:
+        # Observed campaigns fan out too: workers capture per-target
+        # counters/events/spans and the executor folds them back into the
+        # live observer, byte-identical to a serial observed run.
+        records = parallel_map(
+            _street_target,
+            range(len(targets)),
+            obs=pipeline.obs,
+            checker=scenario.checker,
+            live=getattr(scenario, "live", None),
+        )
+    finally:
+        _STREET_CTX.clear()
 
     if config is None:
-        _CACHE[key] = records
+        scenario.street_records[max_targets] = records
     return records
 
 

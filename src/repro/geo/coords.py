@@ -10,6 +10,22 @@ import numpy as np
 
 from repro.constants import EARTH_RADIUS_KM
 
+#: Certified gap between :func:`haversine_km` and the numpy distance
+#: kernels (:func:`bulk_haversine_km`, :func:`matrix_haversine_km`, and the
+#: unit-vector form the region scans use) for the same pair of points, in
+#: kilometres. Each kernel gets ``a = sin^2(theta / 2)`` to within a few
+#: ulps of 1: numpy's ``arcsin`` (and, on some hosts, ``sin``/``cos``)
+#: differs from libm's in the last bit, and the unit-vector form also
+#: rounds a dot product. ``theta = 2 asin(sqrt(a))`` turns an absolute
+#: error ``e`` in ``a`` into at most ``2 R sqrt(e)`` km: about 2e-4 to
+#: 4e-4 km for a few ulps, reached near the antipode (and, for the
+#: unit-vector form, near coincident points). The band leaves room for an
+#: ``e`` of about 28 ulps of 1. Array kernels take a decision (argmin,
+#: argmax, a threshold) from numpy distances only when it lies more than
+#: this far from the boundary, and recompute the rest with
+#: :func:`haversine_km` in the scalar loop's order.
+HAVERSINE_BAND_KM = 1e-3
+
 
 @dataclass(frozen=True, order=True)
 class GeoPoint:

@@ -12,6 +12,16 @@ keeps the feasible ones, and averages them. When sampling misses a thin
 sliver region, an alternating-projection repair step walks a candidate point
 into feasibility before re-sampling locally. The approach is validated
 against analytic two-circle cases in the test suite.
+
+The circle scans (the active-circle split, the repair walk's most-violated
+circle, the centroid check, and membership of many sample points) run as
+array programs with certified decisions: numpy distances decide whatever
+lies more than :data:`~repro.geo.coords.HAVERSINE_BAND_KM` from its
+boundary, and the in-band candidates are recomputed with the scalar
+:func:`~repro.geo.coords.haversine_km` in the scalar loop's order. Every
+float that leaves this module (a repaired point, a centroid) is computed
+by the scalar chain, so the results are bitwise those of the per-circle
+loops, which :mod:`repro.check.oracles` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -22,13 +32,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import MAX_GREAT_CIRCLE_KM
+from repro.constants import EARTH_RADIUS_KM, MAX_GREAT_CIRCLE_KM
 from repro.errors import EmptyRegionError
 from repro.geo.coords import (
+    HAVERSINE_BAND_KM,
     GeoPoint,
     bearing_deg,
     bulk_destination,
+    bulk_haversine_km,
     destination,
+    haversine_km,
+    matrix_haversine_km,
     mean_point,
 )
 
@@ -50,8 +64,6 @@ class Circle:
 
     def area_km2(self) -> float:
         """Surface area of the cap on the spherical Earth."""
-        from repro.constants import EARTH_RADIUS_KM
-
         angular = min(self.radius_km / EARTH_RADIUS_KM, math.pi)
         return 2.0 * math.pi * EARTH_RADIUS_KM**2 * (1.0 - math.cos(angular))
 
@@ -73,10 +85,44 @@ class IntersectionRegion:
     centroid: GeoPoint
     feasible_points: List[GeoPoint] = field(repr=False, default_factory=list)
     tightest: Optional[Circle] = None
+    _arrays: Optional["_CircleArrays"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def contains(self, point: GeoPoint, tolerance_km: float = 1e-6) -> bool:
         """Whether a point satisfies every constraint circle."""
         return all(circle.contains(point, tolerance_km) for circle in self.circles)
+
+    def contains_points(
+        self, points: Sequence[GeoPoint], tolerance_km: float = 1e-6
+    ) -> List[bool]:
+        """:meth:`contains` for many points, as one array test.
+
+        Bitwise the per-point answers: a (point, circle) pair whose numpy
+        distance lies within the band of ``radius + tolerance_km`` is
+        decided by the scalar haversine, as :meth:`Circle.contains`
+        decides it. The circles' arrays are built on first use.
+        """
+        if not points or not self.circles:
+            return [True] * len(points)
+        if self._arrays is None:
+            self._arrays = _CircleArrays.of(self.circles)
+        arrays = self._arrays
+        distances = matrix_haversine_km(
+            arrays.lats,
+            arrays.lons,
+            np.array([point.lat for point in points]),
+            np.array([point.lon for point in points]),
+        )
+        slack = (arrays.radii + tolerance_km) - distances
+        inside = ~(slack < -HAVERSINE_BAND_KM).any(axis=1)
+        for row in np.flatnonzero(inside & (slack <= HAVERSINE_BAND_KM).any(axis=1)):
+            point = points[row]
+            inside[row] = all(
+                _contains_exact(self.circles[column], point, tolerance_km)
+                for column in np.flatnonzero(slack[row] <= HAVERSINE_BAND_KM)
+            )
+        return inside.tolist()
 
     def extent_km(self) -> float:
         """Rough diameter of the region: max pairwise sample distance.
@@ -119,19 +165,83 @@ def region_contains_bulk(
     return _feasible_mask(lats, lons, region.circles, tolerance_km)
 
 
-def _active_circles(circles: Sequence[Circle]) -> Tuple[Circle, List[Circle]]:
+@dataclass(frozen=True)
+class _CircleArrays:
+    """Centre coordinates, unit vectors and radii of a circle list."""
+
+    lats: np.ndarray
+    lons: np.ndarray
+    radii: np.ndarray
+    units: np.ndarray
+
+    @classmethod
+    def of(cls, circles: Sequence[Circle]) -> "_CircleArrays":
+        lats = np.array([circle.center.lat for circle in circles], dtype=np.float64)
+        lons = np.array([circle.center.lon for circle in circles], dtype=np.float64)
+        return cls(
+            lats,
+            lons,
+            np.array([circle.radius_km for circle in circles], dtype=np.float64),
+            _unit_vectors(np.radians(lats), np.radians(lons)),
+        )
+
+    def distances_from(self, point: GeoPoint) -> np.ndarray:
+        """Great-circle distance from a point to every centre, in km.
+
+        One dot product with the centres' unit vectors gives
+        ``a = sin^2(theta / 2) = (1 - cos theta) / 2`` to within a few ulps
+        of 1, which keeps the distance within
+        :data:`~repro.geo.coords.HAVERSINE_BAND_KM` of
+        :func:`~repro.geo.coords.haversine_km` (not bitwise on it).
+        """
+        phi, lam = point.as_radians()
+        cos_phi = math.cos(phi)
+        toward = np.array([cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi)])
+        a = np.clip((1.0 - self.units @ toward) * 0.5, 0.0, 1.0)
+        return (2.0 * EARTH_RADIUS_KM) * np.arcsin(np.sqrt(a))
+
+
+def _unit_vectors(phis: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Unit vectors (x, y, z) of points given in radians, one row each."""
+    cos_phis = np.cos(phis)
+    return np.ascontiguousarray(
+        np.stack([cos_phis * np.cos(lams), cos_phis * np.sin(lams), np.sin(phis)], axis=1)
+    )
+
+
+def _contains_exact(circle: Circle, point: GeoPoint, tolerance_km: float) -> bool:
+    """:meth:`Circle.contains` through this module's scalar haversine."""
+    center = circle.center
+    distance = haversine_km(center.lat, center.lon, point.lat, point.lon)
+    return distance <= circle.radius_km + tolerance_km
+
+
+def _active_circles(
+    circles: Sequence[Circle], arrays: Optional[_CircleArrays] = None
+) -> Tuple[Circle, List[Circle]]:
     """Split circles into (tightest, possibly-binding others).
 
     A circle that fully contains the tightest circle can never exclude any
-    candidate point, so it is dropped from the feasibility test.
+    candidate point, so it is dropped from the feasibility test. A circle
+    is kept when its radius is below its centre's separation from the
+    tightest centre plus the tightest radius; separations within the band
+    of that boundary are recomputed with the scalar haversine.
     """
-    tightest = min(circles, key=lambda c: c.radius_km)
+    if arrays is None:
+        arrays = _CircleArrays.of(circles)
+    tightest_index = int(np.argmin(arrays.radii))
+    tightest = circles[tightest_index]
+    center = tightest.center
+    margin = (arrays.distances_from(center) + tightest.radius_km) - arrays.radii
     active = []
-    for circle in circles:
+    for index in np.flatnonzero(margin >= -HAVERSINE_BAND_KM):
+        circle = circles[index]
         if circle is tightest:
             continue
-        separation = tightest.center.distance_km(circle.center)
-        if circle.radius_km < separation + tightest.radius_km:
+        if margin[index] > HAVERSINE_BAND_KM or circle.radius_km < (
+            haversine_km(center.lat, center.lon, circle.center.lat, circle.center.lon)
+            + tightest.radius_km
+        ):
             active.append(circle)
     return tightest, active
 
@@ -157,8 +267,6 @@ def _feasible_mask(
     lats: np.ndarray, lons: np.ndarray, circles: Sequence[Circle], tolerance_km: float
 ) -> np.ndarray:
     """Boolean mask of which sample points satisfy every circle."""
-    from repro.geo.coords import bulk_haversine_km
-
     mask = np.ones(lats.shape, dtype=bool)
     for circle in circles:
         distances = bulk_haversine_km(lats, lons, circle.center.lat, circle.center.lon)
@@ -168,21 +276,45 @@ def _feasible_mask(
     return mask
 
 
-def _repair_point(start: GeoPoint, circles: Sequence[Circle], max_iterations: int = 80) -> Optional[GeoPoint]:
+def _repair_point(
+    start: GeoPoint,
+    circles: Sequence[Circle],
+    max_iterations: int = 80,
+    arrays: Optional[_CircleArrays] = None,
+) -> Optional[GeoPoint]:
     """Walk a point into the intersection via alternating projections.
 
-    Repeatedly moves the point just inside the most-violated circle. This
-    converges for non-empty intersections of convex caps; returns None when
-    no feasible point is found within the iteration budget.
+    Repeatedly moves the point just inside the most-violated circle: the
+    first circle, in order, whose excess distance beyond its radius is the
+    strict maximum above 1e-9 km. This converges for non-empty
+    intersections of convex caps; returns None when no feasible point is
+    found within the iteration budget.
+
+    Each step computes every excess as one array. Only the circles whose
+    excess lies within two bands of the array's maximum (and within a band
+    of the 1e-9 km floor) can be the most violated; those are recomputed
+    with the scalar haversine, in order, and the step moves by the
+    scalar-computed excess.
     """
+    if arrays is None:
+        arrays = _CircleArrays.of(circles)
     point = start
     for _ in range(max_iterations):
+        excess = arrays.distances_from(point) - arrays.radii
+        floor = max(
+            float(np.max(excess, initial=-np.inf)) - 2.0 * HAVERSINE_BAND_KM,
+            1e-9 - HAVERSINE_BAND_KM,
+        )
         worst: Optional[Circle] = None
         worst_excess = 1e-9
-        for circle in circles:
-            excess = point.distance_km(circle.center) - circle.radius_km
-            if excess > worst_excess:
-                worst_excess = excess
+        for index in np.flatnonzero(excess >= floor):
+            circle = circles[index]
+            exact = (
+                haversine_km(point.lat, point.lon, circle.center.lat, circle.center.lon)
+                - circle.radius_km
+            )
+            if exact > worst_excess:
+                worst_excess = exact
                 worst = circle
         if worst is None:
             return point
@@ -224,8 +356,10 @@ def cbg_region(
         return IntersectionRegion(
             circles=list(circles), centroid=tightest.center, feasible_points=[tightest.center], tightest=tightest
         )
-    tightest, active = _active_circles(meaningful)
+    arrays = _CircleArrays.of(meaningful)
+    tightest, active = _active_circles(meaningful, arrays)
     constraints: List[Circle] = [tightest] + active
+    constraint_arrays = _CircleArrays.of(constraints)
 
     lats, lons = _sample_disk(tightest.center, tightest.radius_km, rings, spokes)
     mask = _feasible_mask(lats, lons, active, tolerance_km)
@@ -233,7 +367,7 @@ def cbg_region(
     if not mask.any():
         # The region may be a thin sliver between circle boundaries that the
         # grid missed; repair a candidate point, then sample locally.
-        repaired = _repair_point(tightest.center, constraints)
+        repaired = _repair_point(tightest.center, constraints, arrays=constraint_arrays)
         if repaired is None:
             raise EmptyRegionError(
                 f"{len(constraints)} constraint circles share no common point"
@@ -251,9 +385,23 @@ def cbg_region(
 
     feasible = [GeoPoint(float(lat), float(lon)) for lat, lon in zip(lats[mask], lons[mask])]
     centroid = mean_point(feasible)
-    if not all(c.contains(centroid, tolerance_km=tightest.radius_km) for c in constraints):
+    if not _all_contain(constraints, constraint_arrays, centroid, tightest.radius_km):
         # Pathological concave slivers can place the mean outside; snap back.
         centroid = feasible[0]
     return IntersectionRegion(
         circles=constraints, centroid=centroid, feasible_points=feasible, tightest=tightest
+    )
+
+
+def _all_contain(
+    circles: Sequence[Circle], arrays: _CircleArrays, point: GeoPoint, tolerance_km: float
+) -> bool:
+    """``all(c.contains(point, tolerance_km) for c in circles)``, as one array
+    test; circles within the band of their boundary are decided exactly."""
+    slack = (arrays.radii + tolerance_km) - arrays.distances_from(point)
+    if (slack < -HAVERSINE_BAND_KM).any():
+        return False
+    return all(
+        _contains_exact(circles[index], point, tolerance_km)
+        for index in np.flatnonzero(slack <= HAVERSINE_BAND_KM)
     )

@@ -6,6 +6,11 @@ centroid: it draws concentric circles whose radius grows by a step ``R``
 rotating from 0 degrees in increments of ``alpha`` (36 degrees in tier 2,
 10 degrees in tier 3). The process stops at the first circle that has no
 point inside the region.
+
+Sample points come from the scalar :func:`~repro.geo.coords.destination`,
+so they are bitwise the points the paper's procedure names; membership of
+a whole circle of points is one certified array test
+(:meth:`~repro.geo.regions.IntersectionRegion.contains_points`).
 """
 
 from __future__ import annotations
@@ -39,6 +44,51 @@ def circle_points(center: GeoPoint, radius_km: float, alpha_deg: float) -> List[
     return points
 
 
+def concentric_circles(
+    center: GeoPoint,
+    region: Optional[IntersectionRegion],
+    step_km: float,
+    alpha_deg: float,
+    max_circles: int = 200,
+    inside: Optional[Callable[[GeoPoint], bool]] = None,
+) -> Iterator[List[GeoPoint]]:
+    """Yield the walk's kept points one circle at a time.
+
+    The first list is ``[center]``; then, for ``k = 1, 2, ...``, the points
+    of the circle of radius ``k * step_km`` that lie inside the region, in
+    bearing order. The walk stops at the first circle with no point inside
+    the region (or after ``max_circles`` circles, a safety bound for huge
+    regions). Circles are computed only as the consumer asks for them.
+
+    Args:
+        center: circle center, the region centroid from the previous tier.
+        region: the constraint region; ``None`` means "no constraint" and
+            only ``max_circles`` bounds the walk.
+        step_km: radius increment per circle (R in the paper).
+        alpha_deg: rotation step per point (alpha in the paper).
+        max_circles: hard bound on the number of circles.
+        inside: optional per-point membership override; defaults to one
+            :meth:`~repro.geo.regions.IntersectionRegion.contains_points`
+            test per circle.
+    """
+    yield [center]
+    for k in range(1, max_circles + 1):
+        points = circle_points(center, k * step_km, alpha_deg)
+        if inside is not None:
+            kept = [point for point in points if inside(point)]
+        elif region is not None:
+            kept = [
+                point
+                for point, keep in zip(points, region.contains_points(points))
+                if keep
+            ]
+        else:
+            kept = points
+        if not kept:
+            return
+        yield kept
+
+
 def concentric_circle_points(
     center: GeoPoint,
     region: Optional[IntersectionRegion],
@@ -49,27 +99,8 @@ def concentric_circle_points(
 ) -> Iterator[GeoPoint]:
     """Yield region sample points per the street level paper's procedure.
 
-    Yields the center first, then points on circles of radius ``k * step_km``
-    (``k = 1, 2, ...``), keeping only points inside the region, and stopping
-    at the first circle with no point inside the region (or after
-    ``max_circles`` circles, a safety bound for huge regions).
-
-    Args:
-        center: circle center, the region centroid from the previous tier.
-        region: the constraint region; ``None`` means "no constraint" and
-            only ``max_circles`` bounds the walk.
-        step_km: radius increment per circle (R in the paper).
-        alpha_deg: rotation step per point (alpha in the paper).
-        max_circles: hard bound on the number of circles.
-        inside: optional membership override; defaults to
-            ``region.contains``.
+    The points of :func:`concentric_circles`, flattened: the center first,
+    then the kept points of each circle in turn (same arguments).
     """
-    if inside is None:
-        inside = region.contains if region is not None else (lambda _point: True)
-    yield center
-    for k in range(1, max_circles + 1):
-        kept = [p for p in circle_points(center, k * step_km, alpha_deg) if inside(p)]
-        if not kept:
-            return
-        for point in kept:
-            yield point
+    for kept in concentric_circles(center, region, step_km, alpha_deg, max_circles, inside):
+        yield from kept

@@ -5,6 +5,10 @@ reverse-geocode each point to a zip code, list the websites-bearing
 amenities of each newly seen zip code, and keep the websites passing the
 locally-hosted tests. Results are deduplicated by hostname, since the same
 website often surfaces from several sample points.
+
+The walk goes one sampling circle at a time: the circle's membership test
+and its reverse geocoding are each one batch, while every point is still
+consumed (and charged) in the paper's order.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.geo.coords import GeoPoint
 from repro.geo.regions import IntersectionRegion
-from repro.geo.sampling import concentric_circle_points
+from repro.geo.sampling import concentric_circles
 from repro.landmarks.mapping import ReverseGeocoder
 from repro.landmarks.overpass import OverpassService
 from repro.landmarks.validation import LandmarkValidator
@@ -115,46 +119,46 @@ class LandmarkDiscovery:
         seen_zipcodes: Set[Tuple[int, str]] = set()
         landmarks: List[Landmark] = []
 
-        for point in concentric_circle_points(
+        for circle in concentric_circles(
             center, region, step_km, alpha_deg, max_circles=max_circles
         ):
-            geocoded = self.geocoder.reverse(point)
-            stats.geocode_queries += 1
-            if geocoded is None:
-                continue
-            cell = (geocoded.city_id, geocoded.zipcode)
-            if cell in seen_zipcodes:
-                continue
-            seen_zipcodes.add(cell)
+            for geocoded in self.geocoder.reverse_many(circle):
+                stats.geocode_queries += 1
+                if geocoded is None:
+                    continue
+                cell = (geocoded.city_id, geocoded.zipcode)
+                if cell in seen_zipcodes:
+                    continue
+                seen_zipcodes.add(cell)
 
-            pois = self.overpass.amenities_with_website(geocoded.city_id, geocoded.zipcode)
-            stats.overpass_queries += 1
-            for poi in pois:
-                website = poi.website
-                if website is None or website.hostname in seen_hostnames:
-                    continue
-                seen_hostnames.add(website.hostname)
-                stats.candidates_tested += 1
-                outcome = self.validator.validate(poi, website, geocoded.zipcode)
-                if not outcome.passed:
-                    reason = outcome.reason or "unknown"
-                    stats.rejected_by[reason] = stats.rejected_by.get(reason, 0) + 1
-                    continue
-                landmarks.append(
-                    Landmark(
-                        hostname=website.hostname,
-                        ip=website.ip,
-                        location=poi.location,
-                        poi_id=poi.poi_id,
-                        city_id=poi.city_id,
-                        zipcode=geocoded.zipcode,
-                        tier=tier,
+                pois = self.overpass.amenities_with_website(geocoded.city_id, geocoded.zipcode)
+                stats.overpass_queries += 1
+                for poi in pois:
+                    website = poi.website
+                    if website is None or website.hostname in seen_hostnames:
+                        continue
+                    seen_hostnames.add(website.hostname)
+                    stats.candidates_tested += 1
+                    outcome = self.validator.validate(poi, website, geocoded.zipcode)
+                    if not outcome.passed:
+                        reason = outcome.reason or "unknown"
+                        stats.rejected_by[reason] = stats.rejected_by.get(reason, 0) + 1
+                        continue
+                    landmarks.append(
+                        Landmark(
+                            hostname=website.hostname,
+                            ip=website.ip,
+                            location=poi.location,
+                            poi_id=poi.poi_id,
+                            city_id=poi.city_id,
+                            zipcode=geocoded.zipcode,
+                            tier=tier,
+                        )
                     )
-                )
-                if max_landmarks is not None and len(landmarks) >= max_landmarks:
-                    stats.zipcodes_seen = len(seen_zipcodes)
-                    stats.landmarks_found = len(landmarks)
-                    return landmarks, stats
+                    if max_landmarks is not None and len(landmarks) >= max_landmarks:
+                        stats.zipcodes_seen = len(seen_zipcodes)
+                        stats.landmarks_found = len(landmarks)
+                        return landmarks, stats
 
         stats.zipcodes_seen = len(seen_zipcodes)
         stats.landmarks_found = len(landmarks)

@@ -10,7 +10,7 @@ simulated clock, since it dominates landmark-discovery time (§5.2.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.atlas.clock import SimClock
 
@@ -60,21 +60,41 @@ class ReverseGeocoder:
         unless a shared cache (paper §5.2.5) already holds the answer, in
         which case the query never reaches the service.
         """
-        if self._cache is not None:
-            hit, cached = self._cache.get_geocode(point)
-            if hit:
-                return cached
-        self.queries += 1
-        if self._limiter is not None:
-            self._limiter.acquire("mapping")
-        if self._clock is not None:
-            self._clock.advance(QUERY_COST_S, "mapping")
-        city = self.world.city_index.nearest(point, max_distance_km=MAX_URBAN_RADIUS_KM)
-        answer = (
-            None
-            if city is None
-            else ReverseGeocodeResult(zipcode=city.zipcode_at(point), city_id=city.city_id)
+        return next(self.reverse_many([point]))
+
+    def reverse_many(
+        self, points: Sequence[GeoPoint]
+    ) -> Iterator[Optional[ReverseGeocodeResult]]:
+        """:meth:`reverse` for each point in turn, as a lazy iterator.
+
+        The nearest cities of all the points are looked up in one batch up
+        front: an answer is a pure function of its point. What a query
+        costs is not, so each point's cache lookup, rate-limit wait,
+        processing charge and cache write happen only when the consumer
+        asks for its answer, in order, interleaved with whatever the
+        consumer charges in between. A consumer that stops early (a
+        landmark cap reached mid-circle) never pays for, or caches, the
+        points it did not consume.
+        """
+        cities = self.world.city_index.nearest_many(
+            points, max_distance_km=MAX_URBAN_RADIUS_KM
         )
-        if self._cache is not None:
-            self._cache.put_geocode(point, answer)
-        return answer
+        for point, city in zip(points, cities):
+            if self._cache is not None:
+                hit, cached = self._cache.get_geocode(point)
+                if hit:
+                    yield cached
+                    continue
+            self.queries += 1
+            if self._limiter is not None:
+                self._limiter.acquire("mapping")
+            if self._clock is not None:
+                self._clock.advance(QUERY_COST_S, "mapping")
+            answer = (
+                None
+                if city is None
+                else ReverseGeocodeResult(zipcode=city.zipcode_at(point), city_id=city.city_id)
+            )
+            if self._cache is not None:
+                self._cache.put_geocode(point, answer)
+            yield answer

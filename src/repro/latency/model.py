@@ -19,16 +19,22 @@ intermediate routers (control-plane rate limiting). These spikes are what
 makes the street level D1+D2 delay differences noisy and often negative
 (paper §5.2.3, Figure 6a, and appendix B).
 
-Scalar and bulk paths share keys and formulas: ``bulk_min_rtt`` returns
-exactly what per-pair :meth:`LatencyModel.ping` calls would (property-
-tested).
+Scalar and bulk paths share keys and formulas. ``bulk_min_rtt`` draws
+the same uniforms as per-pair :meth:`LatencyModel.ping` calls, bit for
+bit, but finishes the jitter with ``np.log``, which differs from
+``math.log`` in the last bit on some inputs: its RTTs match per-pair pings
+to within a few ulps (property-tested at 1e-9 ms), not bitwise. The
+traceroute kernel (:meth:`LatencyModel.traceroutes`) is bitwise the
+per-hop scalar loop that :mod:`repro.check.oracles` keeps as reference:
+its hashes and uniforms are exact integer and float arrays, and every
+``log``/``cos``/``sqrt`` stays libm's, per element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -196,8 +202,10 @@ class LatencyModel:
         """Vectorised ping: min RTT from many *static* hosts to one host.
 
         Returns NaN where the target did not answer (unresponsive target or
-        all packets lost). Numerically identical to calling :meth:`ping`
-        per source with the same ``packets`` and ``seq``.
+        all packets lost). The same loss pattern as calling :meth:`ping`
+        per source with the same ``packets`` and ``seq``, and RTTs within a
+        few ulps of it: the jitter goes through ``np.log``, not libm's
+        ``math.log``.
         """
         src_ids = np.asarray(src_host_ids, dtype=np.int64)
         count = src_ids.shape[0]
@@ -252,44 +260,139 @@ class LatencyModel:
         Intermediate hops answer with ICMP TTL-exceeded, whose timestamps
         carry Gaussian noise plus occasional slow-path spikes; the
         destination answers like a ping packet. An unresponsive destination
-        yields ``reached=False`` with the router hops still present.
+        yields ``reached=False`` with the router hops still present. The
+        batch of one of :meth:`traceroutes`, checked when the checker is
+        armed.
         """
-        src_params = self.topology.params_for(src)
-        dst_params = self.topology.params_for(dst)
-        route = build_route(self.topology, src_params, dst_params, src.ip, dst.ip)
-        fiber = self.fiber_factor(src.host_id, dst.host_id)
-        low, high = sorted((src.host_id, dst.host_id))
-        pk = rand.pair_key(low, high)
+        observation = self.traceroutes([(src, dst)], seq=seq)[0]
+        self.check_traceroute(src, dst, seq, observation)
+        return observation
 
-        hops: List[TraceHop] = []
-        for index, hop in enumerate(route.hops):
-            is_destination = index == len(route.hops) - 1
-            propagation = 2.0 * hop.cumulative_km * fiber / SOI_KM_PER_MS
-            if is_destination:
-                if not dst.responsive:
-                    self._check_trace(src, dst, seq, hops, destination_rtt=None)
-                    return TraceObservation(src.ip, dst.ip, tuple(hops), reached=False)
-                jitter = -self._jitter_mean * math.log(
-                    max(rand.uniform(("jit", seq, 0, pk)), 1e-12)
-                )
-                rtt = propagation + src_params.last_mile_ms + dst_params.last_mile_ms + jitter
-            else:
-                noise = rand.normal(
-                    ("hopnoise", seq, index, pk), 0.0, self._hop_noise_std
-                )
-                spike = 0.0
-                if rand.uniform(("spike", seq, index, pk)) < self._spike_probability:
-                    spike = -self._spike_mean * math.log(
-                        max(rand.uniform(("spikemag", seq, index, pk)), 1e-12)
-                    )
-                rtt = max(
-                    propagation + src_params.last_mile_ms + noise + spike, 0.01
-                )
-            hops.append(TraceHop(hop.ip, rtt))
-        self._check_trace(
-            src, dst, seq, hops, destination_rtt=hops[-1].rtt_ms if hops else None
+    def traceroutes(
+        self, pairs: Sequence[Tuple[Host, Host]], seq: int = 0
+    ) -> List[TraceObservation]:
+        """Traceroutes for many (source, destination) pairs, as one kernel.
+
+        Routes come from :func:`~repro.topology.routing.build_route`, pair
+        by pair, with each host's network parameters resolved once per
+        batch. Hop noise is drawn over all hops at once:
+        :func:`repro.rand.bulk_hash` folds each key prefix
+        (``("hopnoise", seq, hop)``, ``("spike", seq, hop)``,
+        ``("spikemag", seq, hop)``, ``("jit", seq, 0)``, ``"fiber"``) once
+        and mixes in the pair keys as an array. The hashes and the uniforms
+        are exact; Box-Muller, the jitter and the spike magnitude then go
+        through libm per element, so every observation is bitwise the
+        per-hop loop's. Observations are not checked here; see
+        :meth:`check_traceroute`.
+        """
+        if not pairs:
+            return []
+        topo = self.topology
+        params: Dict[int, HostNetParams] = {}
+
+        def net(host: Host) -> HostNetParams:
+            found = params.get(host.host_id)
+            if found is None:
+                found = params[host.host_id] = topo.params_for(host)
+            return found
+
+        # Every route's router hops (all but the destination), flattened.
+        hop_ips: List[List[str]] = []
+        hop_pair: List[int] = []
+        hop_index: List[int] = []
+        hop_km: List[float] = []
+        total_km: List[float] = []
+        low_ids: List[int] = []
+        high_ids: List[int] = []
+        src_last_mile: List[float] = []
+        dst_last_mile: List[float] = []
+        for number, (src, dst) in enumerate(pairs):
+            s = net(src)
+            d = net(dst)
+            route = build_route(topo, s, d, src.ip, dst.ip)
+            routers = route.hops[:-1]
+            hop_ips.append([hop.ip for hop in routers])
+            hop_pair.extend([number] * len(routers))
+            hop_index.extend(range(len(routers)))
+            hop_km.extend([hop.cumulative_km for hop in routers])
+            total_km.append(route.total_km)
+            low, high = sorted((src.host_id, dst.host_id))
+            low_ids.append(low)
+            high_ids.append(high)
+            src_last_mile.append(s.last_mile_ms)
+            dst_last_mile.append(d.last_mile_ms)
+
+        pk = rand.bulk_pair_key(
+            np.array(low_ids, dtype=np.uint64), np.array(high_ids, dtype=np.uint64)
         )
-        return TraceObservation(src.ip, dst.ip, tuple(hops), reached=True)
+        fiber = self._fiber_min + self._fiber_span * rand.bulk_uniform("fiber", pk)
+        src_lm = np.array(src_last_mile)
+
+        # Router hops: propagation + source last mile + noise + spike.
+        pair_of = np.array(hop_pair, dtype=np.int64)
+        index_of = np.array(hop_index, dtype=np.int64)
+        propagation = 2.0 * np.array(hop_km) * fiber[pair_of] / SOI_KM_PER_MS
+        noise = np.empty(len(hop_km))
+        spike = np.zeros(len(hop_km))
+        for index in range(int(index_of.max()) + 1):
+            rows = np.flatnonzero(index_of == index)
+            keys = pk[pair_of[rows]]
+            u1, u2 = rand.bulk_normal_uniforms(("hopnoise", seq, index), keys)
+            noise[rows] = [
+                rand.normal_from_uniforms(a, b, 0.0, self._hop_noise_std)
+                for a, b in zip(u1.tolist(), u2.tolist())
+            ]
+            spiking = rand.bulk_uniform(("spike", seq, index), keys) < self._spike_probability
+            if spiking.any():
+                magnitudes = rand.bulk_uniform(("spikemag", seq, index), keys[spiking])
+                spike[rows[spiking]] = [
+                    rand.exponential_from_uniform(u, self._spike_mean)
+                    for u in magnitudes.tolist()
+                ]
+        router_rtts = np.maximum(
+            propagation + src_lm[pair_of] + noise + spike, 0.01
+        ).tolist()
+
+        # Destination hop: a ping packet.
+        jitter = [
+            rand.exponential_from_uniform(u, self._jitter_mean)
+            for u in rand.bulk_uniform(("jit", seq, 0), pk).tolist()
+        ]
+        dst_rtts = (
+            2.0 * np.array(total_km) * fiber / SOI_KM_PER_MS
+            + src_lm
+            + np.array(dst_last_mile)
+            + np.array(jitter)
+        ).tolist()
+
+        observations: List[TraceObservation] = []
+        start = 0
+        for number, (src, dst) in enumerate(pairs):
+            ips = hop_ips[number]
+            stop = start + len(ips)
+            hops = [TraceHop(ip, rtt) for ip, rtt in zip(ips, router_rtts[start:stop])]
+            start = stop
+            if dst.responsive:
+                hops.append(TraceHop(dst.ip, dst_rtts[number]))
+            observations.append(
+                TraceObservation(src.ip, dst.ip, tuple(hops), reached=dst.responsive)
+            )
+        return observations
+
+    def check_traceroute(
+        self, src: Host, dst: Host, seq: int, observation: TraceObservation
+    ) -> None:
+        """Armed-checker verification of one traceroute (``trace.hop_delta``,
+        and ``rtt.soi_bound`` on a reached destination)."""
+        if not self.checker.enabled:
+            return
+        self._check_trace(
+            src,
+            dst,
+            seq,
+            list(observation.hops),
+            destination_rtt=observation.destination_rtt_ms,
+        )
 
     def _check_trace(
         self,

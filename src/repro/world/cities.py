@@ -10,10 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import rand
-from repro.geo.coords import GeoPoint, destination, haversine_km, normalize_lon
+from repro.geo.coords import (
+    HAVERSINE_BAND_KM,
+    GeoPoint,
+    destination,
+    haversine_km,
+    matrix_haversine_km,
+    normalize_lon,
+)
 from repro.world.config import WorldConfig
 
 
@@ -217,8 +226,28 @@ def _clamp_to_box(point: GeoPoint, continent: Continent) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
+@dataclass(frozen=True)
+class _Candidates:
+    """The cities a bucket's ring walk visits, in visit order, as arrays."""
+
+    cities: List[City]
+    lats: np.ndarray
+    lons: np.ndarray
+
+
 class CityIndex:
-    """Bucketed spatial index over cities for nearest-city queries."""
+    """Bucketed spatial index over cities for nearest-city queries.
+
+    :meth:`nearest` answers what a ring walk over the buckets finds: it
+    visits ring 0 (the point's own bucket) outwards up to the first ring f
+    holding a city, then ring f + 1, keeping the first city of strictly
+    smaller distance in visit order; with no city in rings 0 to 11 it
+    scans every city. That is not always the true nearest city (a nearer one can
+    sit two rings out), and the answers are kept exactly as the walk gives
+    them. The visited cities depend only on the bucket, so each bucket's
+    candidate list is built once, as coordinate arrays, and a query is one
+    array of distances with a certified argmin.
+    """
 
     def __init__(self, cities: List[City], bucket_deg: float = 2.0) -> None:
         self._cities = cities
@@ -226,6 +255,7 @@ class CityIndex:
         self._buckets: Dict[Tuple[int, int], List[City]] = {}
         for city in cities:
             self._buckets.setdefault(self._bucket(city.location), []).append(city)
+        self._candidates: Dict[Tuple[int, int], _Candidates] = {}
 
     def _bucket(self, point: GeoPoint) -> Tuple[int, int]:
         return (
@@ -233,33 +263,98 @@ class CityIndex:
             int(math.floor(point.lon / self._bucket_deg)),
         )
 
-    def nearest(self, point: GeoPoint, max_distance_km: Optional[float] = None) -> Optional[City]:
-        """The closest city to a point, optionally within a distance bound."""
-        blat, blon = self._bucket(point)
-        best: Optional[City] = None
-        best_distance = math.inf
+    def _walk_candidates(self, bucket: Tuple[int, int]) -> _Candidates:
+        """The ring walk's visit list from one bucket (memoised per bucket)."""
+        cached = self._candidates.get(bucket)
+        if cached is not None:
+            return cached
+        blat, blon = bucket
+        cities: List[City] = []
         found_ring: Optional[int] = None
         for ring in range(0, 12):
-            for city in self._ring_candidates(blat, blon, ring):
-                distance = point.distance_km(city.location)
-                if distance < best_distance:
-                    best_distance = distance
-                    best = city
-                    if found_ring is None:
-                        found_ring = ring
-            # One extra ring after the first hit guarantees correctness at
-            # this bucket granularity (a nearer city can hide one ring out).
+            ring_cities = self._ring_candidates(blat, blon, ring)
+            cities.extend(ring_cities)
+            if found_ring is None and ring_cities:
+                found_ring = ring
+            # One extra ring after the first hit: a nearer city can hide
+            # one ring out at this bucket granularity.
             if found_ring is not None and ring >= found_ring + 1:
                 break
-        if best is None:
-            for city in self._cities:
-                distance = point.distance_km(city.location)
-                if distance < best_distance:
-                    best_distance = distance
-                    best = city
-        if max_distance_km is not None and best_distance > max_distance_km:
-            return None
-        return best
+        if not cities:
+            cities = list(self._cities)
+        cached = _Candidates(
+            cities,
+            np.array([city.location.lat for city in cities]),
+            np.array([city.location.lon for city in cities]),
+        )
+        self._candidates[bucket] = cached
+        return cached
+
+    def nearest(self, point: GeoPoint, max_distance_km: Optional[float] = None) -> Optional[City]:
+        """The closest city to a point, optionally within a distance bound."""
+        return self.nearest_many([point], max_distance_km)[0]
+
+    def nearest_many(
+        self, points: Sequence[GeoPoint], max_distance_km: Optional[float] = None
+    ) -> List[Optional[City]]:
+        """:meth:`nearest` for many points, one distance matrix per bucket.
+
+        The argmin and the distance bound are taken from numpy distances
+        only when they lie more than the band from a tie or from the
+        bound; the remaining candidates are recomputed with the scalar
+        haversine in visit order, so every answer is the walk's own.
+        """
+        answers: List[Optional[City]] = [None] * len(points)
+        rows_of: Dict[Tuple[int, int], List[int]] = {}
+        for row, point in enumerate(points):
+            rows_of.setdefault(self._bucket(point), []).append(row)
+        band = HAVERSINE_BAND_KM
+        for bucket, rows in rows_of.items():
+            walk = self._walk_candidates(bucket)
+            if not walk.cities:
+                continue
+            distances = matrix_haversine_km(
+                walk.lats,
+                walk.lons,
+                np.array([points[row].lat for row in rows]),
+                np.array([points[row].lon for row in rows]),
+            )
+            least = distances.min(axis=1)
+            near = distances <= (least + 2.0 * band)[:, None]
+            # A row is decided by the arrays when one candidate is within
+            # two bands of its minimum and the minimum is a band clear of
+            # the distance bound.
+            exact = near.sum(axis=1) > 1
+            if max_distance_km is not None:
+                exact |= np.abs(least - max_distance_km) <= band
+            for offset, row, column, distance, in_band in zip(
+                range(len(rows)),
+                rows,
+                distances.argmin(axis=1).tolist(),
+                least.tolist(),
+                exact.tolist(),
+            ):
+                best = walk.cities[column]
+                if in_band:
+                    best, distance = self._walk_exact(points[row], walk, near[offset])
+                if max_distance_km is None or distance <= max_distance_km:
+                    answers[row] = best
+        return answers
+
+    @staticmethod
+    def _walk_exact(
+        point: GeoPoint, walk: _Candidates, candidates: np.ndarray
+    ) -> Tuple[Optional[City], float]:
+        """The walk's strict argmin over in-band candidates, scalar distances."""
+        best: Optional[City] = None
+        best_distance = math.inf
+        for column in np.flatnonzero(candidates):
+            city = walk.cities[column]
+            distance = haversine_km(point.lat, point.lon, city.location.lat, city.location.lon)
+            if distance < best_distance:
+                best_distance = distance
+                best = city
+        return best, best_distance
 
     def _ring_candidates(self, blat: int, blon: int, ring: int) -> List[City]:
         candidates: List[City] = []

@@ -2,11 +2,12 @@
 
 Two halves:
 
-* the harness *passes* on the real substrate — all seven paired paths
+* the harness *passes* on the real substrate — all eight paired paths
   (batched vs loop CBG, CSR topology kernel vs scalar path, serial vs
   parallel execution, cold vs warm cache, serving engine vs batch
   campaign, serial vs parallel hint mining, epoch-swapped serving vs
-  per-revision batch) agree bitwise, the CLI ``--selfcheck`` exits 0;
+  per-revision batch, street-level array tiers vs scalar oracles) agree
+  bitwise, the CLI ``--selfcheck`` exits 0;
 * the harness *fails* when a path is deliberately broken — each pair is
   monkeypatched with a divergent implementation and must report the
   divergence (a self-check that cannot fail proves nothing).
@@ -31,6 +32,7 @@ from repro.check.diff import (
     diff_serial_vs_parallel,
     diff_serve_under_churn,
     diff_serve_vs_batch,
+    diff_street_level,
     diff_topology,
 )
 from repro.errors import InvariantViolation
@@ -46,7 +48,7 @@ def quick_scenario():
 class TestHealthyPaths:
     def test_selfcheck_report_all_ok(self, selfcheck_report):
         assert selfcheck_report.ok
-        assert len(selfcheck_report.outcomes) == 7
+        assert len(selfcheck_report.outcomes) == 8
         assert {o.pair for o in selfcheck_report.outcomes} == {
             "cbg: batch vs loop",
             "topology: csr vs scalar",
@@ -55,6 +57,7 @@ class TestHealthyPaths:
             "serve: engine vs batch",
             "hints: serial vs parallel",
             "serve: epochs vs batch",
+            "street: arrays vs scalar",
         }
         for outcome in selfcheck_report.outcomes:
             assert outcome.compared > 0
@@ -205,6 +208,55 @@ class TestBrokenPaths:
         outcome = diff_hints(quick_scenario, workers=2)
         assert not outcome.ok
         assert "cbg.containment" in outcome.detail
+
+    @pytest.mark.parametrize("kernel", ["repair walk", "nearest city", "traceroute"])
+    def test_broken_street_kernel_is_caught(self, quick_scenario, monkeypatch, kernel):
+        """A street-level array kernel that strays from its oracle diverges.
+
+        The breaks are small on purpose: a repair walk that declares its
+        start feasible, a city lookup that hands a circle's answers out in
+        reverse order, and traceroutes one nanosecond slow on every hop.
+        """
+        import dataclasses
+
+        from repro.geo import regions
+        from repro.latency.model import LatencyModel
+        from repro.world.cities import CityIndex
+
+        if kernel == "repair walk":
+            monkeypatch.setattr(
+                regions,
+                "_repair_point",
+                lambda start, circles, max_iterations=80, arrays=None: start,
+            )
+        elif kernel == "nearest city":
+            lookup = CityIndex.nearest_many
+            monkeypatch.setattr(
+                CityIndex,
+                "nearest_many",
+                lambda self, points, max_distance_km=None: lookup(
+                    self, points, max_distance_km
+                )[::-1],
+            )
+        else:
+            kernel_fn = LatencyModel.traceroutes
+
+            def slow(self, pairs, seq=0):
+                return [
+                    dataclasses.replace(
+                        trace,
+                        hops=tuple(
+                            dataclasses.replace(hop, rtt_ms=hop.rtt_ms + 1e-6)
+                            for hop in trace.hops
+                        ),
+                    )
+                    for trace in kernel_fn(self, pairs, seq)
+                ]
+
+            monkeypatch.setattr(LatencyModel, "traceroutes", slow)
+        outcome = diff_street_level(quick_scenario)
+        assert not outcome.ok
+        assert "diverges" in outcome.detail
 
     def test_broken_cache_is_caught(self, monkeypatch):
         from repro.cache.artifacts import ArtifactCache

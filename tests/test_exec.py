@@ -125,12 +125,12 @@ class TestCampaignDeterminism:
         if _fork_context() is None:  # pragma: no cover - non-POSIX
             pytest.skip("fork unavailable")
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        street_runner._CACHE.clear()
+        small_scenario.street_records.pop(6, None)
         serial = street_runner.street_level_records(small_scenario, max_targets=6)
-        street_runner._CACHE.clear()
+        small_scenario.street_records.pop(6, None)
         monkeypatch.setenv("REPRO_WORKERS", "2")
         parallel = street_runner.street_level_records(small_scenario, max_targets=6)
-        street_runner._CACHE.clear()
+        small_scenario.street_records.pop(6, None)
 
         assert len(serial) == len(parallel) == 6
         for a, b in zip(serial, parallel):
@@ -151,15 +151,12 @@ class TestCampaignDeterminism:
         obs_serial = Observer()
         scenario_serial = get_scenario("small", obs=obs_serial)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        street_runner._CACHE.clear()
         street_runner.street_level_records(scenario_serial, max_targets=4)
 
         obs_parallel = Observer()
         scenario_parallel = get_scenario("small", obs=obs_parallel)
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        street_runner._CACHE.clear()
         street_runner.street_level_records(scenario_parallel, max_targets=4)
-        street_runner._CACHE.clear()
 
         serial_counts = obs_serial.metrics.counters()
         parallel_counts = obs_parallel.metrics.counters()

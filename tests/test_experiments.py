@@ -140,6 +140,41 @@ class TestStreetLevelFigures:
         assert a is b
 
 
+class TestStreetRecordsOwnership:
+    """Street-level records live on the scenario they describe."""
+
+    def test_scenarios_never_share_records(self):
+        from repro.check.diff import street_result_key
+        from repro.experiments.scenario import config_for_preset
+        from repro.experiments.street_runner import street_level_records
+
+        first = Scenario.build(config_for_preset("quick", 3))
+        second = Scenario.build(config_for_preset("quick", 4))
+        a = street_level_records(first, 2)
+        b = street_level_records(second, 2)
+        assert first.street_records == {2: a}
+        assert second.street_records == {2: b}
+        assert [r.target for r in a] == [first.targets[0], first.targets[len(first.targets) // 2]]
+        assert [r.target for r in b] == [second.targets[0], second.targets[len(second.targets) // 2]]
+        assert [street_result_key(r.result) for r in a] != [
+            street_result_key(r.result) for r in b
+        ]
+
+    def test_freed_scenario_frees_its_records(self):
+        import gc
+        import weakref
+
+        from repro.experiments.scenario import config_for_preset
+        from repro.experiments.street_runner import street_level_records
+
+        scenario = Scenario.build(config_for_preset("quick", 5))
+        records = street_level_records(scenario, 1)
+        alive = weakref.ref(records[0])
+        del records, scenario
+        gc.collect()
+        assert alive() is None
+
+
 class TestFig7And8:
     def test_fig7(self, small_scenario):
         output = fig7.run_fig7(small_scenario)

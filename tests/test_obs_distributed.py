@@ -30,12 +30,9 @@ def _observed_street_run(monkeypatch, workers):
     else:
         monkeypatch.setenv("REPRO_WORKERS", str(workers))
     observer = Observer()
+    # Observed scenarios are built fresh, so no records are cached yet.
     scenario = get_scenario("small", obs=observer)
-    street_runner._CACHE.clear()
-    try:
-        records = street_runner.street_level_records(scenario, max_targets=6)
-    finally:
-        street_runner._CACHE.clear()
+    records = street_runner.street_level_records(scenario, max_targets=6)
     return observer, records
 
 
@@ -120,10 +117,6 @@ class TestWorkaroundRemoved:
             return original_absorb(snapshot)
 
         observer.absorb = spy
-        street_runner._CACHE.clear()
-        try:
-            street_runner.street_level_records(scenario, max_targets=4)
-        finally:
-            street_runner._CACHE.clear()
+        street_runner.street_level_records(scenario, max_targets=4)
         # One absorb for the campaign, carrying all four per-target captures.
         assert absorbed == [4]
