@@ -188,8 +188,11 @@ def _min_and_first(radii_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     first match, i.e. the reference's first-argmin over its filtered array,
     found by a reversed scatter of the match positions (later rows
     overwrite, so each target keeps its first). All-NaN rows get a NaN min
-    (never valid) and index 0 (never read).
+    (never valid) and index 0 (never read), and so do the rows of a
+    zero-width VP axis, on which ``fmin`` has no identity to reduce from.
     """
+    if radii_t.shape[1] == 0:
+        return np.full(radii_t.shape[0], np.nan), np.zeros(radii_t.shape[0], dtype=np.intp)
     r_min = np.fmin.reduce(radii_t, axis=1)
     rows, vps = np.nonzero(radii_t == r_min[:, None])
     tightest = np.zeros(radii_t.shape[0], dtype=np.intp)
@@ -316,6 +319,8 @@ def cbg_centroids_batch(
     n_vps = rtt_matrix.shape[0]
     if subset is not None:
         subset = np.asarray(subset)
+        if subset.size == 0:
+            subset = subset.astype(np.intp)  # ``[]`` parses as float64
         if subset.size == n_vps and np.array_equal(subset, np.arange(n_vps)):
             subset = None  # a full-range subset selects nothing; skip gathers
     derived = _derived_for(rtt_matrix, soi_fraction)
@@ -760,6 +765,16 @@ class CbgBatchSolver:
     Columns may be requested repeatedly and in any order; duplicates in
     one call are solved once per occurrence (callers that care dedupe —
     the serving engine does).
+
+    **Row replacement.** A churning world changes a few target columns per
+    revision (:mod:`repro.evolve`). :meth:`replace_columns` points the
+    solver at the next revision's matrix and marks the moved columns'
+    rows stale without touching the derived arrays; :meth:`centroids`
+    re-derives a stale row the first time it is asked for, so a revision
+    costs only the columns that moved and only when they are used. The
+    derivation is elementwise and the stats are per row, so a row derived
+    alone holds exactly the bytes a fresh solver over the new matrix
+    derives for it.
     """
 
     def __init__(
@@ -792,11 +807,59 @@ class CbgBatchSolver:
         self._counts, self._r_min, self._tightest = _target_stats(self._radii_t)
         self._uvec = _unit_vectors(self.vp_lats, self.vp_lons)
         self._u32 = self._uvec.astype(np.float32)
+        #: target rows whose derived arrays predate the current matrix.
+        self._stale = np.zeros(self.n_targets, dtype=bool)
 
     @property
     def n_targets(self) -> int:
         """Number of target columns the resident matrix holds."""
         return self._radii_t.shape[0]
+
+    def _columns(self, columns: np.ndarray) -> np.ndarray:
+        """``columns`` as a flat index array, range-checked."""
+        cols = np.asarray(columns, dtype=np.intp).reshape(-1)
+        if cols.size and (cols.min() < 0 or cols.max() >= self.n_targets):
+            raise IndexError(
+                f"column indices must be in [0, {self.n_targets}), "
+                f"got range [{cols.min()}, {cols.max()}]"
+            )
+        return cols
+
+    def replace_columns(self, rtt_matrix: np.ndarray, columns: np.ndarray) -> None:
+        """Serve ``rtt_matrix`` from now on; only ``columns`` differ.
+
+        The caller guarantees that every column outside ``columns`` is
+        bitwise equal in the old and new matrices (the serving engine
+        finds the changed set by a bit-pattern diff). Nothing is derived
+        or solved here: the solver keeps the new matrix reference and
+        marks the listed rows stale, and :meth:`centroids` re-derives a
+        stale row when it is first asked for. Both arguments are checked
+        before anything changes, so a refused call leaves the solver as
+        it was.
+
+        Raises:
+            ValueError: when the new matrix has another shape.
+            IndexError: for column indices outside the target axis.
+        """
+        matrix = np.asarray(rtt_matrix, dtype=np.float64)
+        if matrix.shape != self.matrix.shape:
+            raise ValueError(
+                f"replacement matrix has shape {matrix.shape}, "
+                f"the solver holds {self.matrix.shape}"
+            )
+        cols = self._columns(columns)
+        self.matrix = matrix
+        self._stale[cols] = True
+
+    def _refresh(self, rows: np.ndarray) -> None:
+        """Re-derive the stale target ``rows`` from the current matrix."""
+        radii, trig = _compute_derived(
+            np.ascontiguousarray(self.matrix[:, rows].T), self.soi_fraction
+        )
+        self._radii_t[rows] = radii
+        self._trig_t[rows] = trig
+        self._counts[rows], self._r_min[rows], self._tightest[rows] = _target_stats(radii)
+        self._stale[rows] = False
 
     def centroids(
         self,
@@ -818,21 +881,16 @@ class CbgBatchSolver:
             ``(lats, lons)`` aligned with ``columns``; NaN where CBG has
             no usable answer. Bitwise identical to the corresponding
             entries of :func:`cbg_centroids_batch` over the full matrix.
+            Stale rows among ``columns`` (:meth:`replace_columns`) are
+            re-derived first.
 
         Raises:
             IndexError: for column indices outside the target axis.
         """
-        if columns is None:
-            cols = np.arange(self.n_targets)
-        else:
-            cols = np.asarray(columns, dtype=np.intp).reshape(-1)
-            if cols.size and (
-                cols.min() < 0 or cols.max() >= self.n_targets
-            ):
-                raise IndexError(
-                    f"column indices must be in [0, {self.n_targets}), "
-                    f"got range [{cols.min()}, {cols.max()}]"
-                )
+        cols = np.arange(self.n_targets) if columns is None else self._columns(columns)
+        stale = cols[self._stale[cols]]
+        if stale.size:
+            self._refresh(np.unique(stale))
         total = cols.shape[0]
         out_lats = np.full(total, np.nan)
         out_lons = np.full(total, np.nan)

@@ -273,16 +273,22 @@ def apply_events(
     ids, addresses, kinds, ASNs, and last-mile delays are invariant under
     churn; only positions, city assignments, mislocation flags, and
     session state change.
+
+    Hosts are grouped by /24 once, so a revision costs one address parse
+    per host plus its events, not a rescan of every host per reassigned
+    block; each block's members still relocate in host-list order.
     """
     hosts = [
         dataclasses.replace(h) for h in list(previous.hosts)[: previous.static_host_count]
     ]
     by_id = {h.host_id: i for i, h in enumerate(hosts)}
+    by_prefix: Dict[str, List[int]] = {}
+    for i, host in enumerate(hosts):
+        by_prefix.setdefault(prefix_base(host.ip), []).append(i)
     for event in events:
         if event.kind == EVENT_PREFIX_REASSIGN:
-            for i, host in enumerate(hosts):
-                if prefix_base(host.ip) == event.prefix:
-                    hosts[i] = _relocated(host, previous, event.city_id, event.revision)
+            for i in by_prefix.get(event.prefix, ()):
+                hosts[i] = _relocated(hosts[i], previous, event.city_id, event.revision)
         elif event.kind == EVENT_HOST_MIGRATE:
             i = by_id[event.host_id]
             hosts[i] = _relocated(hosts[i], previous, event.city_id, event.revision)

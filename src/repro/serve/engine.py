@@ -5,8 +5,9 @@ long-lived query service: load a measured world once (a
 :class:`~repro.serve.state.QueryState`, typically extracted from a
 scenario whose campaigns replay from the content-addressed artifact
 cache), derive the CBG kernel arrays once (a resident
-:class:`~repro.core.cbg_batch.CbgBatchSolver`), then answer a stream of
-geolocate requests:
+:class:`~repro.core.cbg_batch.CbgBatchSolver`), solve every target column
+in one kernel pass, then answer a stream of geolocate requests from that
+table:
 
 1. **Admission** (:meth:`ServeEngine.submit`) — every request passes
    typed admission control *before any kernel work*: unknown tenants and
@@ -17,17 +18,20 @@ geolocate requests:
    charged. Admitted requests charge their tenant's ledger and join the
    intake queue.
 2. **Coalescing** (:meth:`ServeEngine.process_one_batch`) — queued
-   requests are drained in FIFO batches of at most ``max_batch``,
-   deduplicated to unique target columns, and solved in one vectorised
-   pass of the resident kernel; because the loaded world is immutable,
-   answers are memoized per column and repeat queries never touch the
-   kernel again. Per-request answers are bitwise identical to the batch
-   campaign path no matter how requests are batched or ordered — pinned
-   by ``tests/test_serve.py`` and the ``serve: engine vs batch``
+   requests are drained in FIFO batches of at most ``max_batch`` and
+   deduplicated to unique target columns. The table solved at load
+   answers them by gather; the resident kernel runs, in one vectorised
+   pass per batch, only on columns an epoch swap invalidated, and each
+   such column once. Per-request answers are bitwise identical to the
+   batch campaign path no matter how requests are batched or ordered —
+   pinned by ``tests/test_serve.py`` and the ``serve: engine vs batch``
    differential leg. When the world churns underneath the engine
    (:mod:`repro.evolve`), :meth:`ServeEngine.install_epoch` swaps in the
-   new revision's :class:`QueryState` at a batch boundary, invalidating
-   exactly the memo columns whose matrix bytes moved — pinned by
+   new revision's :class:`QueryState` at a batch boundary: a bit-pattern
+   column diff finds the columns whose matrix bytes moved, the solver
+   marks just those rows stale (re-derived on first use), and exactly
+   those memo columns are invalidated. A swap costs the diff plus work
+   proportional to the moved columns — pinned by
    ``tests/test_serve_epoch.py`` and the ``serve: epochs vs batch``
    differential leg.
 3. **Observability** — admissions, refusals, and batches are typed
@@ -160,7 +164,7 @@ class ServeEngine:
         min_vps: int = 1,
         live=NULL_LIVE,
     ) -> None:
-        """Load the world and derive the resident kernel arrays.
+        """Load the world, derive the resident kernel arrays, solve the table.
 
         Args:
             state: the query-time world (see :class:`QueryState`).
@@ -171,7 +175,8 @@ class ServeEngine:
             obs: campaign observer; serve events, counters, and spans are
                 emitted through it.
             checker: optional invariant checker. When armed, every ledger
-                charge is conservation-checked and every solved batch is
+                charge is conservation-checked, and the loaded table and
+                every column solved again after a swap are
                 containment-checked against the ground truth (when the
                 state carries it).
             faults: optional :class:`~repro.faults.FaultInjector`; when
@@ -208,15 +213,15 @@ class ServeEngine:
         #: :meth:`install_epoch` swap.
         self.epoch = 0
         # The loaded world is immutable *within an epoch*, so a column's
-        # centroid never changes between swaps: answers are memoized
-        # after their first solve and the kernel runs only on cold
-        # columns. Repeat queries — the common case for a resident
-        # server — cost an array gather, which is what carries
-        # paper-scale throughput past the 10k qps target.
-        # install_epoch() un-solves exactly the columns whose bytes moved.
-        self._answer_lats = np.full(state.n_targets, np.nan)
-        self._answer_lons = np.full(state.n_targets, np.nan)
-        self._solved = np.zeros(state.n_targets, dtype=bool)
+        # centroid never changes between swaps. The whole table is solved
+        # here, in one kernel pass, and a request costs an array gather —
+        # which is what carries paper-scale throughput past the 10k qps
+        # target with no cold solves on the request path.
+        # install_epoch() un-solves exactly the columns whose bytes moved;
+        # each is solved again on its first request.
+        self._check_containment(slice(None), "serve load")
+        self._answer_lats, self._answer_lons = self.solver.centroids()
+        self._solved = np.ones(state.n_targets, dtype=bool)
         self.column_cache_hits = 0
         #: wall-clock seconds from admission to answer, per answered
         #: request (load-benchmark material; never emitted on the
@@ -301,10 +306,20 @@ class ServeEngine:
 
         * same VP coordinates (the re-measurement case produced by
           :func:`repro.evolve.measure.epoch_state`, which pins VP
-          registrations): columns are compared bitwise (NaN == NaN) and
-          exactly the changed ones are invalidated (``column-delta``);
+          registrations): columns are compared by bit pattern and
+          exactly the changed ones are invalidated (``column-delta``).
+          The solver keeps its derived arrays and re-derives just those
+          rows on their first request
+          (:meth:`~repro.core.cbg_batch.CbgBatchSolver.replace_columns`),
+          so the swap itself derives and solves nothing. A column whose
+          bytes differ but whose values compare equal (``-0.0`` for
+          ``0.0``, another NaN payload) counts as changed and is solved
+          again, which returns exactly a fresh engine's answer;
         * different VP coordinates or VP count: every answer depends on
-          every VP row, so the whole memo is invalidated (``vp-drift``).
+          every VP row, so the solver is rebuilt and the whole memo is
+          invalidated (``vp-drift``);
+        * same VPs but another RTT-to-distance conversion speed: every
+          constraint radius moves, so likewise (``soi-change``).
 
         Queued-but-unsolved requests survive the swap (their columns
         still resolve in the new state) and are answered from the new
@@ -326,31 +341,34 @@ class ServeEngine:
                 f"epoch swap must keep the target set: {old.n_targets} loaded "
                 f"targets vs {state.n_targets} in the new state"
             )
-        vp_same = (
+        if not (
             old.rtt_matrix.shape[0] == state.rtt_matrix.shape[0]
             and np.array_equal(old.vp_lats, state.vp_lats)
             and np.array_equal(old.vp_lons, state.vp_lons)
-        )
-        if vp_same:
-            same = (old.rtt_matrix == state.rtt_matrix) | (
-                np.isnan(old.rtt_matrix) & np.isnan(state.rtt_matrix)
-            )
-            changed_mask = ~same.all(axis=0)
+        ):
+            reason = "vp-drift"
+        elif old.soi_fraction != state.soi_fraction:
+            reason = "soi-change"
+        else:
             reason = "column-delta"
+        if reason == "column-delta":
+            changed_mask = (
+                old.rtt_matrix.view(np.uint64) != state.rtt_matrix.view(np.uint64)
+            ).any(axis=0)
+            self.solver.replace_columns(state.rtt_matrix, np.nonzero(changed_mask)[0])
         else:
             changed_mask = np.ones(state.n_targets, dtype=bool)
-            reason = "vp-drift"
+            self.solver = CbgBatchSolver(
+                state.vp_lats,
+                state.vp_lons,
+                state.rtt_matrix,
+                soi_fraction=state.soi_fraction,
+                min_vps=self.solver.min_vps,
+            )
         changed = int(changed_mask.sum())
         invalidated = int((changed_mask & self._solved).sum())
         retained = int((self._solved & ~changed_mask).sum())
         self.state = state
-        self.solver = CbgBatchSolver(
-            state.vp_lats,
-            state.vp_lons,
-            state.rtt_matrix,
-            soi_fraction=state.soi_fraction,
-            min_vps=self.solver.min_vps,
-        )
         self._answer_lats[changed_mask] = np.nan
         self._answer_lons[changed_mask] = np.nan
         self._solved[changed_mask] = False
@@ -597,15 +615,29 @@ class ServeEngine:
         """Requests admitted but not yet solved."""
         return len(self._queue)
 
+    def _check_containment(self, columns, context: str) -> None:
+        """Containment-check the constraints of ``columns`` when armed."""
+        state = self.state
+        if self.checker.enabled and state.target_true_lats is not None:
+            self.checker.check_cbg_containment(
+                state.vp_lats,
+                state.vp_lons,
+                state.rtt_matrix[:, columns],
+                state.target_true_lats[columns],
+                state.target_true_lons[columns],
+                state.soi_fraction,
+                context,
+            )
+
     def process_one_batch(self) -> int:
         """Coalesce and solve at most ``max_batch`` queued requests.
 
         Requests are deduplicated to unique target columns, and columns
-        already solved in an earlier batch are answered from the memo —
-        the kernel runs only on cold columns. Returns the number of
-        requests answered (0 on an empty queue — draining a queue shorter
-        than ``max_batch`` solves a partial batch, which the coalescing
-        boundary tests pin).
+        solved at load or in an earlier batch are answered from the memo —
+        the kernel runs only on columns an epoch swap invalidated, once
+        each. Returns the number of requests answered (0 on an empty
+        queue — draining a queue shorter than ``max_batch`` solves a
+        partial batch, which the coalescing boundary tests pin).
         """
         if not self._queue:
             return 0
@@ -626,16 +658,8 @@ class ServeEngine:
         fresh = unique_columns[~self._solved[unique_columns]]
         cached = int(unique_columns.size - fresh.size)
         self.column_cache_hits += cached
-        if fresh.size and self.checker.enabled and self.state.target_true_lats is not None:
-            self.checker.check_cbg_containment(
-                self.state.vp_lats,
-                self.state.vp_lons,
-                self.state.rtt_matrix[:, fresh],
-                self.state.target_true_lats[fresh],
-                self.state.target_true_lons[fresh],
-                self.state.soi_fraction,
-                f"serve batch #{seq} ({fresh.size} columns)",
-            )
+        if fresh.size:
+            self._check_containment(fresh, f"serve batch #{seq} ({fresh.size} columns)")
         t_solve = time.perf_counter() if live_on else 0.0
         with self.obs.span(
             "serve:batch",

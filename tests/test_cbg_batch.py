@@ -18,6 +18,7 @@ from repro.constants import SOI_FRACTION_CBG
 from repro.core import cbg_batch
 from repro.core.cbg import cbg_centroid_fast, cbg_errors_for_subsets, cbg_estimate
 from repro.core.cbg_batch import (
+    CbgBatchSolver,
     _reset_derived_cache,
     cbg_centroids_batch,
     cbg_errors_batch,
@@ -261,6 +262,158 @@ class TestErrorsParity:
                 vp_lats, vp_lons, matrix, t_lats, t_lons, subset
             )
             _assert_bitwise(got, want)
+
+
+class TestZeroWidthVpAxis:
+    """An empty VP axis answers all-NaN; it never raises."""
+
+    def test_empty_subset_matches_loop(self):
+        rng = np.random.default_rng(23)
+        vp_lats, vp_lons, t_lats, t_lons, matrix = _random_world(rng, 30, 12)
+        obs_loop = Observer()
+        want = cbg_errors_for_subsets_loop(
+            vp_lats, vp_lons, matrix, t_lats, t_lons, [], obs=obs_loop
+        )
+        assert np.isnan(want).all()
+        for subset in ([], np.array([], dtype=np.intp)):
+            obs_batch = Observer()
+            got = cbg_errors_batch(
+                vp_lats, vp_lons, matrix, t_lats, t_lons, subset, obs=obs_batch
+            )
+            _assert_bitwise(got, want)
+            assert obs_batch.metrics.counters() == obs_loop.metrics.counters()
+            lats, lons = cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)
+            assert np.isnan(lats).all() and np.isnan(lons).all()
+
+    def test_zero_vp_solver(self):
+        solver = CbgBatchSolver(np.zeros(0), np.zeros(0), np.zeros((0, 4)))
+        lats, lons = solver.centroids()
+        assert lats.shape == (4,)
+        assert np.isnan(lats).all() and np.isnan(lons).all()
+        solver.replace_columns(np.zeros((0, 4)), [1])
+        assert np.isnan(solver.centroids([1])[0]).all()
+
+
+#: Derived per-target rows the solver keeps (targets-major).
+_SOLVER_ROWS = ("_radii_t", "_trig_t", "_counts", "_r_min", "_tightest")
+
+
+def _fuzz_solver_inputs(index):
+    """VP coordinates and RTT matrix of one :mod:`repro.check.fuzz` world."""
+    from repro.check.fuzz import fuzz_config
+    from repro.experiments.scenario import Scenario
+
+    state = Scenario.build(fuzz_config(index)).query_state()
+    return state.vp_lats, state.vp_lons, state.rtt_matrix
+
+
+def _remeasured(matrix, columns, seed):
+    """``matrix`` with ``columns`` re-measured: stretched, shrunk, and
+    with answers lost and gained."""
+    rng = np.random.default_rng(seed)
+    new = matrix.copy()
+    cols = np.asarray(columns, dtype=np.intp)
+    block = new[:, cols] * rng.uniform(0.7, 1.4, (matrix.shape[0], cols.size))
+    block[rng.random(block.shape) < 0.2] = np.nan
+    gained = np.isnan(block) & (rng.random(block.shape) < 0.3)
+    block[gained] = rng.uniform(5.0, 200.0, int(gained.sum()))
+    new[:, cols] = block
+    return new
+
+
+def _assert_solver_matches_fresh(solver, vp_lats, vp_lons, matrix, columns=None):
+    """Answers (all columns) and derived rows (``columns``, default all)
+    equal a fresh solver's over ``matrix``, bitwise."""
+    fresh = CbgBatchSolver(vp_lats, vp_lons, matrix)
+    rows = np.arange(fresh.n_targets) if columns is None else np.asarray(columns)
+    got = solver.centroids(rows)
+    want = fresh.centroids(rows)
+    _assert_bitwise(got[0], want[0])
+    _assert_bitwise(got[1], want[1])
+    for name in _SOLVER_ROWS:
+        assert getattr(solver, name)[rows].tobytes() == getattr(fresh, name)[rows].tobytes(), name
+    got_all = solver.centroids()
+    want_all = fresh.centroids()
+    assert got_all[0].tobytes() == want_all[0].tobytes()
+    assert got_all[1].tobytes() == want_all[1].tobytes()
+    for name in _SOLVER_ROWS:
+        assert getattr(solver, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert not solver._stale.any()
+
+
+class TestSolverRowReplacement:
+    """``replace_columns`` + first-use re-derivation == a fresh solver."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_column_sets_over_fuzz_worlds(self, index):
+        vp_lats, vp_lons, base = _fuzz_solver_inputs(index)
+        n = base.shape[1]
+        rng = np.random.default_rng(index)
+        some = np.sort(rng.choice(n, size=max(2, n // 4), replace=False))
+        cases = {
+            "empty": np.zeros(0, dtype=np.intp),
+            "one": some[:1],
+            "some": some,
+            "all": np.arange(n),
+        }
+        for label, columns in cases.items():
+            solver = CbgBatchSolver(vp_lats, vp_lons, base)
+            new = _remeasured(base, columns, seed=(index, len(columns)))
+            solver.replace_columns(new, columns)
+            assert solver._stale.sum() == len(columns), label
+            _assert_solver_matches_fresh(solver, vp_lats, vp_lons, new, columns)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_changed_twice_before_requested(self, index):
+        vp_lats, vp_lons, base = _fuzz_solver_inputs(index)
+        n = base.shape[1]
+        first_cols = np.arange(0, n, 2)
+        second_cols = np.arange(0, n, 3)
+        first = _remeasured(base, first_cols, seed=(index, 1))
+        second = _remeasured(first, second_cols, seed=(index, 2))
+        solver = CbgBatchSolver(vp_lats, vp_lons, base)
+        solver.replace_columns(first, first_cols)
+        solver.replace_columns(second, second_cols)
+        _assert_solver_matches_fresh(solver, vp_lats, vp_lons, second)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_revert_to_an_earlier_matrix(self, index):
+        vp_lats, vp_lons, base = _fuzz_solver_inputs(index)
+        columns = np.arange(1, base.shape[1], 2)
+        moved = _remeasured(base, columns, seed=(index, 3))
+        solver = CbgBatchSolver(vp_lats, vp_lons, base)
+        solver.replace_columns(moved, columns)
+        _assert_solver_matches_fresh(solver, vp_lats, vp_lons, moved, columns)
+        solver.replace_columns(base, columns)
+        _assert_solver_matches_fresh(solver, vp_lats, vp_lons, base, columns[:1])
+
+    def test_only_requested_stale_rows_are_derived(self):
+        vp_lats, vp_lons, base = _fuzz_solver_inputs(0)
+        columns = np.array([0, 3, 5])
+        moved = _remeasured(base, columns, seed=4)
+        solver = CbgBatchSolver(vp_lats, vp_lons, base)
+        before = solver._radii_t[5].tobytes()
+        solver.replace_columns(moved, columns)
+        assert solver._radii_t[5].tobytes() == before  # nothing derived yet
+        fresh = CbgBatchSolver(vp_lats, vp_lons, moved)
+        got = solver.centroids([3, 0, 3])
+        want = fresh.centroids([3, 0, 3])
+        _assert_bitwise(got[0], want[0])
+        _assert_bitwise(got[1], want[1])
+        assert np.nonzero(solver._stale)[0].tolist() == [5]
+        assert solver._radii_t[5].tobytes() == before
+
+    def test_refused_replacement_changes_nothing(self):
+        vp_lats, vp_lons, base = _fuzz_solver_inputs(1)
+        solver = CbgBatchSolver(vp_lats, vp_lons, base)
+        moved = _remeasured(base, [0], seed=5)
+        with pytest.raises(ValueError):
+            solver.replace_columns(moved[:, :-1], [0])
+        with pytest.raises(IndexError):
+            solver.replace_columns(moved, [0, base.shape[1]])
+        assert solver.matrix is not moved
+        assert not solver._stale.any()
+        _assert_solver_matches_fresh(solver, vp_lats, vp_lons, base)
 
 
 class TestObsCounters:

@@ -14,6 +14,8 @@ measured serially or with ``REPRO_WORKERS=2``.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,14 @@ def _fresh_engine(state, **kwargs):
     engine = ServeEngine(state, **kwargs)
     engine.register_tenant(TenantConfig(name="t"))
     return engine
+
+
+def _moved(state, columns):
+    """``state`` with the RTTs of ``columns`` stretched by 5%, as when a
+    churned revision re-measures those targets."""
+    matrix = state.rtt_matrix.copy()
+    matrix[:, columns] *= 1.05
+    return dataclasses.replace(state, rtt_matrix=matrix)
 
 
 def _served_arrays(engine, tenant, ips, order):
@@ -278,6 +288,10 @@ class TestDegenerateInputs:
         obs = Observer()
         engine = ServeEngine(quick_state, obs=obs, max_batch=8)
         engine.register_tenant(TenantConfig(name="t"))
+        # The table is solved at load; a swap that moves column 0 sends it
+        # back through the kernel on its first request.
+        moved = _moved(quick_state, [0])
+        assert engine.install_epoch(moved) == 1
         ip = quick_state.target_ips[0]
         results = engine.geolocate("t", [ip, ip, ip])
         assert len({(r.status, r.lat, r.lon) for r in results}) == 1
@@ -287,14 +301,21 @@ class TestDegenerateInputs:
         assert fields["size"] == 3
         assert fields["columns"] == 1  # deduplicated before the kernel
         assert fields["cached"] == 0
+        assert obs.metrics.counter("cbg.fast_calls") == 1
+        expected = cbg_batch.cbg_centroids_batch(
+            moved.vp_lats, moved.vp_lons, moved.rtt_matrix
+        )
+        assert (results[0].lat, results[0].lon) == (expected[0][0], expected[1][0])
 
     def test_repeat_queries_answered_from_memo(self, quick_state):
         obs = Observer()
         engine = ServeEngine(quick_state, obs=obs, max_batch=4)
         engine.register_tenant(TenantConfig(name="t"))
+        engine.install_epoch(_moved(quick_state, [0]))
         ip = quick_state.target_ips[0]
-        [first] = engine.geolocate("t", [ip])
+        [first] = engine.geolocate("t", [ip])  # solves the moved column
         kernel_calls = obs.metrics.counter("cbg.fast_calls")
+        assert kernel_calls == 1
         [second] = engine.geolocate("t", [ip])
         # Identical answer, zero additional kernel work.
         assert (second.status, second.lat, second.lon) == (
@@ -305,6 +326,40 @@ class TestDegenerateInputs:
         assert obs.metrics.counter("cbg.fast_calls") == kernel_calls
         assert engine.column_cache_hits == 1
         assert obs.metrics.counter("serve.column_cache_hits") == 1
+
+    def test_fresh_engine_answers_from_the_load_table(self, quick_state):
+        obs = Observer()
+        engine = ServeEngine(quick_state, obs=obs, max_batch=5)
+        engine.register_tenant(TenantConfig(name="t"))
+        order = np.arange(quick_state.n_targets)
+        lats, lons = _served_arrays(engine, "t", quick_state.target_ips, order)
+        expected = cbg_batch.cbg_centroids_batch(
+            quick_state.vp_lats, quick_state.vp_lons, quick_state.rtt_matrix
+        )
+        np.testing.assert_array_equal(lats, expected[0])
+        np.testing.assert_array_equal(lons, expected[1])
+        # No batch ran the kernel: every column was a gather.
+        assert obs.metrics.counter("cbg.fast_calls") == 0
+        batches = [dict(e.fields) for e in obs.events.of_type(_ev.SERVE_BATCH)]
+        assert {fields["columns"] for fields in batches} == {0}
+        assert engine.column_cache_hits == quick_state.n_targets
+
+    def test_zero_vp_world_answers_no_estimate(self, quick_state):
+        ips = quick_state.target_ips[:3]
+        empty = QueryState(
+            vp_lats=np.zeros(0),
+            vp_lons=np.zeros(0),
+            rtt_matrix=np.zeros((0, len(ips))),
+            target_ips=tuple(ips),
+        )
+        engine = _fresh_engine(empty)
+        assert [r.status for r in engine.geolocate("t", list(ips))] == [
+            STATUS_NO_ESTIMATE
+        ] * len(ips)
+        assert engine.install_epoch(empty) == 0
+        assert [r.status for r in engine.geolocate("t", list(ips))] == [
+            STATUS_NO_ESTIMATE
+        ] * len(ips)
 
     def test_unknown_target_is_typed(self, quick_state):
         engine = _fresh_engine(quick_state)

@@ -13,6 +13,8 @@ whatever gets through.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,40 @@ class TestExactInvalidation:
         assert fields["cached"] == retained
         assert fields["columns"] == changed
 
+    def test_equal_values_with_other_bits_count_as_changed(self, quick_scenario):
+        """The column diff compares bit patterns, not values.
+
+        ``-0.0`` for ``0.0`` and a NaN with another payload compare equal
+        as values, but their columns count as changed: re-derived and
+        solved again, they answer exactly as a fresh engine over the new
+        state does.
+        """
+        ips = quick_scenario.target_ips
+        state = QueryState.from_scenario(quick_scenario)
+        base = state.rtt_matrix.copy()
+        base[0, 0] = 0.0
+        base[1, 1] = np.nan
+        moved = base.copy()
+        moved[0, 0] = -0.0
+        moved[1, 1] = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        assert np.isnan(moved[1, 1])
+        old = dataclasses.replace(state, rtt_matrix=base)
+        new = dataclasses.replace(state, rtt_matrix=moved)
+        obs = Observer()
+        engine = ServeEngine(old, obs=obs, max_batch=len(ips))
+        engine.register_tenant(TenantConfig(name="t"))
+        assert engine.install_epoch(new) == 2
+        [event] = obs.events.of_type(_ev.SERVE_EPOCH)
+        assert dict(event.fields)["invalidated"] == 2
+        got = _serve_all(engine, ips)
+        [batch] = obs.events.of_type(_ev.SERVE_BATCH)
+        assert dict(batch.fields)["columns"] == 2
+        fresh = ServeEngine(new)
+        fresh.register_tenant(TenantConfig(name="t"))
+        want = _serve_all(fresh, ips)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
     def test_vp_drift_invalidates_everything(self, quick_scenario, revision_matrices):
         ips = quick_scenario.target_ips
         obs = Observer()
@@ -216,6 +252,26 @@ class TestExactInvalidation:
         lats, lons = _serve_all(engine, ips)
         expected = cbg_batch.cbg_centroids_batch(
             drifted.vp_lats, drifted.vp_lons, drifted.rtt_matrix
+        )
+        np.testing.assert_array_equal(lats, expected[0])
+        np.testing.assert_array_equal(lons, expected[1])
+
+    def test_conversion_speed_change_invalidates_everything(self, quick_scenario):
+        ips = quick_scenario.target_ips
+        state = QueryState.from_scenario(quick_scenario)
+        slower = dataclasses.replace(state, soi_fraction=state.soi_fraction * 0.5)
+        obs = Observer()
+        engine = ServeEngine(state, obs=obs)
+        engine.register_tenant(TenantConfig(name="t"))
+        assert engine.install_epoch(slower) == len(ips)
+        [event] = obs.events.of_type(_ev.SERVE_EPOCH)
+        assert dict(event.fields)["reason"] == "soi-change"
+        lats, lons = _serve_all(engine, ips)
+        expected = cbg_batch.cbg_centroids_batch(
+            slower.vp_lats,
+            slower.vp_lons,
+            slower.rtt_matrix,
+            soi_fraction=slower.soi_fraction,
         )
         np.testing.assert_array_equal(lats, expected[0])
         np.testing.assert_array_equal(lons, expected[1])

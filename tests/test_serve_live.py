@@ -14,6 +14,7 @@ under fault-injected shedding, and live capture across fork workers in
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -143,8 +144,18 @@ class TestStageAttribution:
         assert live.counter("serve.batches") == engine.batches_processed
         assert live.gauge_value("serve.queue_depth") == 0.0  # drained
         assert 0.0 < live.gauge_value("serve.batch_occupancy") <= 1.0
-        ratio = live.gauge_value("serve.memo_hit_ratio")
-        assert 0.0 < ratio < 1.0  # 24 requests over fewer unique targets
+        # The table is solved at load: every column is a memo hit...
+        assert live.gauge_value("serve.memo_hit_ratio") == 1.0
+        # ...until a swap moves some served columns, which the next
+        # requests for them solve once.
+        moved = engine.state.rtt_matrix.copy()
+        moved[:, :2] *= 1.05
+        assert engine.install_epoch(dataclasses.replace(engine.state, rtt_matrix=moved)) == 2
+        ips = quick_scenario.target_ips
+        for index in range(24):
+            engine.submit("t", ips[index % len(ips)])
+        engine.drain()
+        assert 0.0 < live.gauge_value("serve.memo_hit_ratio") < 1.0
 
     def test_per_tenant_sketches_and_slo(self, quick_scenario):
         live = LiveTelemetry()
