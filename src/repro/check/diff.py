@@ -103,7 +103,10 @@ def diff_batch_vs_loop(
 
     Runs random VP subsets (and the full set) of the scenario's RTT matrix
     through ``cbg_errors_batch`` and ``cbg_errors_for_subsets_loop`` —
-    via the module, so a patched kernel diverges visibly.
+    via the module, so a patched kernel diverges visibly. The first call
+    solves the full set on a throwaway solver; later calls find the matrix
+    on the resident solver, where the ``sizes`` subsets take the gathered
+    mode and a closing 7/8 sorted subset the near-full masked mode.
     """
     from repro.core import cbg_batch
 
@@ -116,6 +119,10 @@ def diff_batch_vs_loop(
         for trial in range(trials):
             rng = rand.generator((seed, "selfcheck-batch", size, trial))
             subsets.append(np.sort(rng.choice(vp_count, size=size, replace=False)))
+    rng = rand.generator((seed, "selfcheck-batch", "near-full"))
+    subsets.append(
+        np.sort(rng.choice(vp_count, size=(7 * vp_count) // 8, replace=False))
+    )
     compared = 0
     for subset in subsets:
         batch = cbg_batch.cbg_errors_batch(

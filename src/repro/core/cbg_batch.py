@@ -55,21 +55,27 @@ exceeds worst-case float32 evaluation error (~1e-6) by 10×, and admits
 only circles within a few km of the binding boundary — which the
 0.5 km-margin argument above renders harmless.
 
-**Derived-array cache.** Campaigns call the kernel repeatedly with the
-*same* RTT matrix (Figure 2a runs hundreds of random subsets over one
-matrix). The elementwise arrays that depend only on (matrix,
-soi_fraction) — the answered mask, constraint radii, and the float32
-radius trig for the superset test — are derived once per matrix and
-reused; a subset call then pays row gathers instead of transcendental
-passes. They are stored *targets-major* (transposed), so every
-per-target reduction, the candidate ``nonzero`` walk, and the argmin for
-the tightest circle run over contiguous memory. The cache holds one
-slot, keys on object identity via weakref (safe against id reuse), and
-is populated on the second sighting of a matrix so throwaway masked
-copies (Figure 2c cutoffs) do not churn it. Cached and uncached calls
-produce bitwise-identical results; only ``cbg.batch_exact_fallback``
-counts columns that took the exact path (typically a handful per
-thousand).
+**One solver, one resident slot.** :class:`CbgBatchSolver` is the only
+code that derives the constraint arrays and drives the block kernel. The
+arrays that depend only on (matrix, soi_fraction) — constraint radii and
+the float32 radius trig for the superset test — plus the per-target
+stats and the VP unit vectors are derived once per solver, stored
+*targets-major* (transposed), so every per-target reduction, the
+candidate ``nonzero`` walk, and the argmin for the tightest circle run
+over contiguous memory. A VP subset is an argument of
+:meth:`CbgBatchSolver.centroids`: full width, full width with the other
+rows masked (near-full sorted subsets), or gathered rows — a subset call
+then pays row gathers instead of transcendental passes. Campaigns call
+the kernel repeatedly with the *same* RTT matrix (Figure 2a runs
+hundreds of random subsets over one matrix), so
+:func:`cbg_centroids_batch` keeps one resident solver in a module slot.
+The slot is keyed on everything its answers depend on (matrix identity,
+soi_fraction, bitwise VP coordinates, max_active, min_vps) and claimed
+on the second sighting of a matrix, so throwaway masked copies (Figure
+2c cutoffs) do not churn it; a first sighting solves a throwaway solver
+over the subset's rows. Slot and throwaway calls produce
+bitwise-identical results; only ``cbg.batch_exact_fallback`` counts
+columns that took the exact path (typically a handful per thousand).
 
 The result is pinned by the parity suite in ``tests/test_cbg_batch.py``:
 outputs are bitwise identical to the per-target loop, which is preserved
@@ -150,36 +156,6 @@ def _unit_vectors(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
 # --- per-matrix derived arrays ---------------------------------------------------
 
 
-class _Derived:
-    """Elementwise arrays depending only on (rtt_matrix, soi_fraction).
-
-    All arrays are stored targets-major, shape (targets, vps). Unanswered
-    entries stay NaN in ``radii`` (and NaN in the trig arrays), which every
-    consumer treats as "not a constraint" — no separate mask is stored.
-    """
-
-    __slots__ = (
-        "matrix_ref",
-        "soi",
-        "radii",
-        "trig",
-        "counts",
-        "r_min",
-        "tightest",
-    )
-
-    def __init__(self, matrix: np.ndarray, soi: float):
-        self.matrix_ref = weakref.ref(matrix)
-        self.soi = soi
-        self.radii, self.trig = _compute_derived(
-            np.ascontiguousarray(matrix.T), soi
-        )
-        # Full-matrix per-target stats: answered count, tightest radius and
-        # its first index. Served directly on full-range calls; near-full
-        # subset calls repair them against the few excluded columns.
-        self.counts, self.r_min, self.tightest = _target_stats(self.radii)
-
-
 def _min_and_first(radii_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-target (min radius, first-argmin index).
 
@@ -233,44 +209,74 @@ def _compute_derived(
     return radii, trig
 
 
-#: One-slot cache of :class:`_Derived` plus the last missed matrix (so the
-#: slot is only claimed by matrices seen at least twice).
-_DERIVED_SLOT: Optional[_Derived] = None
+def _vp_subset(vps, n_vps: int) -> Optional[np.ndarray]:
+    """``vps`` as an index array; ``None`` when it selects every row in order."""
+    if vps is None:
+        return None
+    vps = np.asarray(vps)
+    if vps.size == 0:
+        return vps.astype(np.intp)  # ``[]`` parses as float64
+    if vps.size == n_vps and np.array_equal(vps, np.arange(n_vps)):
+        return None  # a full-range subset selects nothing; skip gathers
+    return vps
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """The same array object, or equal shapes holding the same bytes."""
+    return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+#: The resident campaign solver (one slot) plus the last matrix that
+#: missed it, so the slot is only claimed by matrices seen at least twice.
+_SOLVER_SLOT: Optional["CbgBatchSolver"] = None
 _LAST_MISS: Optional[Tuple["weakref.ref", float]] = None
 
 
-def _derived_for(matrix: np.ndarray, soi_fraction: float) -> Optional[_Derived]:
-    """Return cached derived arrays for ``matrix``, building on reuse.
+def _resident_solver(
+    vp_lats: np.ndarray,
+    vp_lons: np.ndarray,
+    rtt_matrix: np.ndarray,
+    soi_fraction: float,
+    max_active: int,
+    min_vps: int,
+) -> Optional["CbgBatchSolver"]:
+    """The slot's solver when it answers this call, building it on reuse.
 
-    First sighting of a matrix returns ``None`` (the caller computes a
-    sliced version directly); the second sighting builds and caches the
-    full-matrix arrays. Identity is checked through a weakref so a
-    recycled ``id()`` can never alias a dead matrix.
+    The slot answers a call only when everything the answers depend on
+    matches: the same matrix object (the solver holds it, so its ``id``
+    cannot be recycled), ``soi_fraction``, ``max_active``, ``min_vps``,
+    and VP coordinates that are the same objects or bitwise equal. A
+    first sighting of a matrix returns ``None`` (the caller solves the
+    subset's rows directly); the second builds a full-table solver into
+    the slot, dropping the old one first so two are never alive at once.
     """
-    global _DERIVED_SLOT, _LAST_MISS
+    global _SOLVER_SLOT, _LAST_MISS
+    vp_lats = np.asarray(vp_lats, dtype=np.float64)
+    vp_lons = np.asarray(vp_lons, dtype=np.float64)
+    solver = _SOLVER_SLOT
     if (
-        _DERIVED_SLOT is not None
-        and _DERIVED_SLOT.matrix_ref() is matrix
-        and _DERIVED_SLOT.soi == soi_fraction
+        solver is not None
+        and solver.matrix is rtt_matrix
+        and solver.soi_fraction == soi_fraction
+        and solver.max_active == max_active
+        and solver.min_vps == min_vps
+        and _same_bits(solver.vp_lats, vp_lats)
+        and _same_bits(solver.vp_lons, vp_lons)
     ):
-        return _DERIVED_SLOT
+        return solver
     if (
         _LAST_MISS is not None
-        and _LAST_MISS[0]() is matrix
+        and _LAST_MISS[0]() is rtt_matrix
         and _LAST_MISS[1] == soi_fraction
     ):
-        _DERIVED_SLOT = _Derived(matrix, soi_fraction)
         _LAST_MISS = None
-        return _DERIVED_SLOT
-    _LAST_MISS = (weakref.ref(matrix), soi_fraction)
+        _SOLVER_SLOT = solver = None
+        _SOLVER_SLOT = CbgBatchSolver(
+            vp_lats, vp_lons, rtt_matrix, soi_fraction, max_active, min_vps
+        )
+        return _SOLVER_SLOT
+    _LAST_MISS = (weakref.ref(rtt_matrix), soi_fraction)
     return None
-
-
-def _reset_derived_cache() -> None:
-    """Drop the derived-array cache (test hook)."""
-    global _DERIVED_SLOT, _LAST_MISS
-    _DERIVED_SLOT = None
-    _LAST_MISS = None
 
 
 def cbg_centroids_batch(
@@ -282,9 +288,12 @@ def cbg_centroids_batch(
     max_active: int = 64,
     min_vps: int = 1,
     obs=NULL_OBSERVER,
-    chunk_targets: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Approximate CBG centroids for every target column, in one pass.
+
+    Runs through :class:`CbgBatchSolver`: the resident solver in the
+    module slot when it holds this matrix (see the module doc), otherwise
+    a throwaway solver over the subset's rows.
 
     Args:
         vp_lats: latitudes of *all* vantage points (degrees).
@@ -303,9 +312,6 @@ def cbg_centroids_batch(
         obs: campaign observer; counters only (``cbg.fast_calls`` /
             ``cbg.fast_no_estimate`` / ``cbg.batch_exact_fallback``),
             bumped in bulk so call totals match the per-target loop.
-        chunk_targets: targets per broadcast block (memory knob; any value
-            produces identical results; default sizes blocks adaptively
-            from the VP-axis width).
 
     Returns:
         ``(lats, lons)`` arrays of shape (targets,): the centroid per
@@ -316,136 +322,20 @@ def cbg_centroids_batch(
     rtt_matrix = np.asarray(rtt_matrix, dtype=np.float64)
     if rtt_matrix.ndim != 2:
         raise ValueError(f"rtt_matrix must be 2-D, got shape {rtt_matrix.shape}")
-    n_vps = rtt_matrix.shape[0]
+    solver = _resident_solver(
+        vp_lats, vp_lons, rtt_matrix, soi_fraction, max_active, min_vps
+    )
+    if solver is not None:
+        return solver.centroids(vps=subset, obs=obs)
+    subset = _vp_subset(subset, rtt_matrix.shape[0])
     if subset is not None:
-        subset = np.asarray(subset)
-        if subset.size == 0:
-            subset = subset.astype(np.intp)  # ``[]`` parses as float64
-        if subset.size == n_vps and np.array_equal(subset, np.arange(n_vps)):
-            subset = None  # a full-range subset selects nothing; skip gathers
-    derived = _derived_for(rtt_matrix, soi_fraction)
-    stats = None
-    inset = None
-    if subset is None:
-        sub_lats = np.asarray(vp_lats, dtype=np.float64)
-        sub_lons = np.asarray(vp_lons, dtype=np.float64)
-        if derived is not None:
-            radii_t = derived.radii
-            trig_t = derived.trig
-            stats = (derived.counts, derived.r_min, derived.tightest)
-        else:
-            radii_t, trig_t = _compute_derived(
-                np.ascontiguousarray(rtt_matrix.T), soi_fraction
-            )
-
-        def rtt_col(t: int) -> np.ndarray:
-            return rtt_matrix[:, t]
-
-    elif (
-        derived is not None
-        and 4 * subset.size >= 3 * n_vps
-        and bool(np.all(np.diff(subset) > 0))
-    ):
-        # Near-full sorted subset: gathering ~all columns costs more than
-        # running full width with the excluded vantage points masked out.
-        # The cached full-matrix stats are repaired against the excluded
-        # columns only; candidate masks clear excluded entries, and every
-        # exact step (trim compaction, fallback columns) sees NaN there —
-        # bitwise the same as the compacted computation because a sorted
-        # subset preserves VP order.
-        inset = np.zeros(n_vps, dtype=bool)
-        inset[subset] = True
-        excluded = np.nonzero(~inset)[0]
-        sub_lats = np.asarray(vp_lats, dtype=np.float64)
-        sub_lons = np.asarray(vp_lons, dtype=np.float64)
-        radii_t = derived.radii
-        trig_t = derived.trig
-        radii_x = derived.radii[:, excluded]
-        with np.errstate(invalid="ignore"):
-            counts = derived.counts - (~np.isnan(radii_x)).sum(axis=1)
-            min_x = np.fmin.reduce(radii_x, axis=1)
-        r_min = derived.r_min.copy()
-        tightest = derived.tightest.copy()
-        # Targets whose tightest circle sits in an excluded column (or ties
-        # with one) re-derive their min over a masked copy of the row.
-        redo = np.nonzero(min_x == r_min)[0]
-        if redo.size:
-            radii_redo = derived.radii[redo].copy()
-            radii_redo[:, excluded] = np.nan
-            r_min_r, tightest_r = _min_and_first(radii_redo)
-            r_min[redo] = r_min_r
-            tightest[redo] = tightest_r
-        stats = (counts, r_min, tightest)
-
-        def rtt_col(t: int) -> np.ndarray:
-            column = rtt_matrix[:, t].copy()
-            column[excluded] = np.nan
-            return column
-
-    else:
-        sub_lats = np.asarray(vp_lats, dtype=np.float64)[subset]
-        sub_lons = np.asarray(vp_lons, dtype=np.float64)[subset]
-        if derived is not None:
-            # Column gathers of the cached targets-major arrays — bitwise
-            # the same values as computing on the sliced matrix. The
-            # gathers run per block (below) so each gathered chunk is
-            # consumed while still cache-warm.
-            radii_t = trig_t = None
-            gather_rows = (derived.radii, derived.trig)
-        else:
-            radii_t, trig_t = _compute_derived(
-                np.ascontiguousarray(rtt_matrix[subset].T), soi_fraction
-            )
-
-        def rtt_col(t: int) -> np.ndarray:
-            return rtt_matrix[subset, t]
-
-    total = gather_rows[0].shape[0] if radii_t is None else radii_t.shape[0]
-    out_lats = np.full(total, np.nan)
-    out_lons = np.full(total, np.nan)
-    uvec = _unit_vectors(sub_lats, sub_lons)
-    u32 = uvec.astype(np.float32)
-    no_estimate = 0
-    fallbacks = 0
-    width = sub_lats.shape[0]
-    if chunk_targets is None:
-        chunk = _adaptive_chunk(width)
-    else:
-        chunk = max(1, int(chunk_targets))
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        if radii_t is None:
-            radii_b = gather_rows[0][start:stop][:, subset]
-            trig_b = gather_rows[1][start:stop][:, subset]
-        else:
-            radii_b = radii_t[start:stop]
-            trig_b = trig_t[start:stop]
-        starved, exact = _centroid_block(
-            sub_lats,
-            sub_lons,
-            uvec,
-            u32,
-            radii_b,
-            trig_b,
-            rtt_col,
-            start,
-            soi_fraction,
-            max_active,
-            min_vps,
-            out_lats[start:stop],
-            out_lons[start:stop],
-            stats=None if stats is None else tuple(a[start:stop] for a in stats),
-            inset=inset,
-        )
-        no_estimate += starved
-        fallbacks += exact
-    if obs.enabled:
-        obs.count("cbg.fast_calls", total)
-        if no_estimate:
-            obs.count("cbg.fast_no_estimate", no_estimate)
-        if fallbacks:
-            obs.count("cbg.batch_exact_fallback", fallbacks)
-    return out_lats, out_lons
+        vp_lats = np.asarray(vp_lats, dtype=np.float64)[subset]
+        vp_lons = np.asarray(vp_lons, dtype=np.float64)[subset]
+        rtt_matrix = rtt_matrix[subset]
+    solver = CbgBatchSolver(
+        vp_lats, vp_lons, rtt_matrix, soi_fraction, max_active, min_vps
+    )
+    return solver.centroids(obs=obs)
 
 
 def _centroid_block(
@@ -739,28 +629,29 @@ def _centroid_block(
 
 
 class CbgBatchSolver:
-    """A resident CBG solver: derive once, answer column queries forever.
+    """The CBG solver: derive once, answer column and subset queries.
 
-    The campaign entry point :func:`cbg_centroids_batch` is built for
-    one-shot passes — every call re-derives (or cache-probes) the
-    per-matrix arrays and always solves *all* target columns. A serving
-    engine has the opposite profile: one fixed ``(vp_lats, vp_lons,
-    rtt_matrix)`` world loaded at startup, then an endless stream of small
-    batches asking for *specific* columns. This class front-loads every
-    matrix-dependent derivation exactly once — the targets-major
-    constraint radii and float32 radius trig (:func:`_compute_derived`),
-    the per-target stats (:func:`_target_stats`), and the VP unit vectors
-    — and :meth:`centroids` then solves an arbitrary column subset by
-    gathering rows of those arrays into :func:`_centroid_block`.
+    This class is the only code that derives the per-matrix arrays and
+    drives :func:`_centroid_block`. It front-loads every matrix-dependent
+    derivation exactly once — the targets-major constraint radii and
+    float32 radius trig (:func:`_compute_derived`), the per-target stats
+    (:func:`_target_stats`), and the VP unit vectors — and
+    :meth:`centroids` then solves any target-column list over any VP
+    subset by slicing or gathering rows of those arrays. Two profiles
+    share it: a serving engine loads one fixed ``(vp_lats, vp_lons,
+    rtt_matrix)`` world and answers an endless stream of small batches
+    asking for *specific* columns; a campaign (:func:`cbg_centroids_batch`,
+    through its resident slot) solves every column under hundreds of VP
+    subsets of one matrix.
 
-    Results are bitwise identical to :func:`cbg_centroids_batch` over the
-    full matrix (and hence to the per-target reference loop): each target
-    column's answer depends only on that column's constraints and the
-    shared VP geometry, never on which other columns share the call, so a
-    gathered block computes exactly the bytes the full-matrix block
-    containing that column computes. ``tests/test_serve.py`` and the
-    ``serve: engine vs batch`` leg of the :mod:`repro.check.diff` harness
-    pin this.
+    Results are bitwise identical to running
+    :func:`~repro.core.cbg.cbg_centroid_fast` per column over the chosen
+    rows: each target column's answer depends only on that column's
+    constraints and the shared VP geometry, never on which other columns
+    share the call, so a gathered block computes exactly the bytes the
+    full-matrix block containing that column computes. The parity suite in
+    ``tests/test_cbg_batch.py`` and the ``cbg: batch vs loop`` leg of the
+    :mod:`repro.check.diff` harness pin this against the per-target loop.
 
     Columns may be requested repeatedly and in any order; duplicates in
     one call are solved once per occurrence (callers that care dedupe —
@@ -861,63 +752,126 @@ class CbgBatchSolver:
         self._counts[rows], self._r_min[rows], self._tightest[rows] = _target_stats(radii)
         self._stale[rows] = False
 
+    def _masked_stats(
+        self, inset: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-target stats over the vantage points in ``inset`` only.
+
+        The full-width stats are repaired against the excluded rows only;
+        targets whose tightest circle sits in an excluded row (or ties
+        with one) re-derive their min over a masked copy of the row.
+        """
+        excluded = np.nonzero(~inset)[0]
+        radii_x = self._radii_t[:, excluded]
+        with np.errstate(invalid="ignore"):
+            counts = self._counts - (~np.isnan(radii_x)).sum(axis=1)
+            min_x = np.fmin.reduce(radii_x, axis=1)
+        r_min = self._r_min.copy()
+        tightest = self._tightest.copy()
+        redo = np.nonzero(min_x == r_min)[0]
+        if redo.size:
+            radii_redo = self._radii_t[redo]  # fancy index: a copy
+            radii_redo[:, excluded] = np.nan
+            r_min[redo], tightest[redo] = _min_and_first(radii_redo)
+        return counts, r_min, tightest
+
     def centroids(
         self,
         columns: Optional[np.ndarray] = None,
+        vps: Optional[np.ndarray] = None,
         obs=NULL_OBSERVER,
-        chunk_targets: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """CBG centroids for the requested target columns.
 
         Args:
             columns: indices into the target axis; ``None`` solves every
                 column (the full-matrix campaign answer).
-            obs: observer for the ``cbg.*`` kernel counters, bumped
-                exactly as the campaign entry point bumps them.
-            chunk_targets: targets per broadcast block (memory knob; any
-                value produces identical results).
+            vps: indices into the VP axis of the vantage points to use;
+                ``None`` (or the full range) uses every row. A sorted
+                subset holding at least 3/4 of the rows runs full width
+                with the other rows masked out; any other subset gathers
+                its rows of the derived arrays block by block.
+            obs: observer for the ``cbg.*`` kernel counters
+                (``cbg.fast_calls`` / ``cbg.fast_no_estimate`` /
+                ``cbg.batch_exact_fallback``), bumped in bulk so call
+                totals match the per-target loop.
 
         Returns:
             ``(lats, lons)`` aligned with ``columns``; NaN where CBG has
-            no usable answer. Bitwise identical to the corresponding
-            entries of :func:`cbg_centroids_batch` over the full matrix.
-            Stale rows among ``columns`` (:meth:`replace_columns`) are
-            re-derived first.
+            no usable answer. Bitwise identical to running
+            :func:`~repro.core.cbg.cbg_centroid_fast` per column over the
+            ``vps`` rows. Stale rows among ``columns``
+            (:meth:`replace_columns`) are re-derived first.
 
         Raises:
             IndexError: for column indices outside the target axis.
         """
-        cols = np.arange(self.n_targets) if columns is None else self._columns(columns)
-        stale = cols[self._stale[cols]]
+        if columns is None:
+            cols = None
+            total = self.n_targets
+            stale = np.nonzero(self._stale)[0]
+        else:
+            cols = self._columns(columns)
+            total = cols.shape[0]
+            stale = cols[self._stale[cols]]
         if stale.size:
             self._refresh(np.unique(stale))
-        total = cols.shape[0]
-        out_lats = np.full(total, np.nan)
-        out_lons = np.full(total, np.nan)
-        if total == 0:
-            return out_lats, out_lons
-        width = self.vp_lats.shape[0]
-        if chunk_targets is None:
-            chunk = _adaptive_chunk(width)
-        else:
-            chunk = max(1, int(chunk_targets))
+        n_vps = self.vp_lats.shape[0]
+        vps = _vp_subset(vps, n_vps)
+        lats, lons, uvec, u32 = self.vp_lats, self.vp_lons, self._uvec, self._u32
+        stats = (self._counts, self._r_min, self._tightest)
+        inset = None
+        gather = False
+        if vps is not None:
+            if 4 * vps.size >= 3 * n_vps and bool(np.all(np.diff(vps) > 0)):
+                # Near-full sorted subset: gathering ~all rows costs more
+                # than running full width with the excluded vantage points
+                # masked out. Candidate masks clear excluded entries, and
+                # every exact step (trim compaction, fallback columns) sees
+                # NaN there — bitwise the same as the compacted computation
+                # because a sorted subset preserves VP order.
+                inset = np.zeros(n_vps, dtype=bool)
+                inset[vps] = True
+                stats = self._masked_stats(inset)
+            else:
+                # Row gathers of the derived arrays — bitwise the same
+                # values as deriving from the sliced matrix. The radii and
+                # trig are gathered per block (below) so each gathered
+                # chunk is consumed while still cache-warm.
+                gather = True
+                lats, lons, uvec, u32 = lats[vps], lons[vps], uvec[vps], u32[vps]
+                stats = None
         matrix = self.matrix
 
         def rtt_col(i: int) -> np.ndarray:
-            return matrix[:, int(cols[i])]
+            column = matrix[:, i if cols is None else int(cols[i])]
+            if gather:
+                return column[vps]
+            if inset is not None:
+                column = column.copy()
+                column[~inset] = np.nan
+            return column
 
+        out_lats = np.full(total, np.nan)
+        out_lons = np.full(total, np.nan)
+        chunk = _adaptive_chunk(lats.shape[0])
         no_estimate = 0
         fallbacks = 0
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
-            sel = cols[start:stop]
+            rows = slice(start, stop) if cols is None else cols[start:stop]
+            radii_b = self._radii_t[rows]
+            trig_b = self._trig_t[rows]
+            if gather:
+                radii_b = radii_b[:, vps]
+                trig_b = trig_b[:, vps]
             starved, exact = _centroid_block(
-                self.vp_lats,
-                self.vp_lons,
-                self._uvec,
-                self._u32,
-                self._radii_t[sel],
-                self._trig_t[sel],
+                lats,
+                lons,
+                uvec,
+                u32,
+                radii_b,
+                trig_b,
                 rtt_col,
                 start,
                 self.soi_fraction,
@@ -925,7 +879,8 @@ class CbgBatchSolver:
                 self.min_vps,
                 out_lats[start:stop],
                 out_lons[start:stop],
-                stats=(self._counts[sel], self._r_min[sel], self._tightest[sel]),
+                stats=None if stats is None else tuple(a[rows] for a in stats),
+                inset=inset,
             )
             no_estimate += starved
             fallbacks += exact

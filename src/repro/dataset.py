@@ -216,25 +216,29 @@ def main(argv: Optional[List[str]] = None) -> int:
 def build_dataset_from_scenario(scenario, max_targets: Optional[int] = None) -> GeolocationDataset:
     """Produce the baseline dataset from a scenario's measurements.
 
-    Runs all-VP CBG and Shortest Ping per target, classifies quality from
-    the lowest observed RTT, and records the evidence. (Street level
-    estimates can be merged in afterwards from the street runner.)
+    Runs all-VP CBG (one batched pass over the exported targets) and
+    Shortest Ping per target, classifies quality from the lowest observed
+    RTT, and records the evidence. (Street level estimates can be merged
+    in afterwards from the street runner.)
     """
     import numpy as np
 
-    from repro.core.cbg import cbg_centroid_fast
+    from repro.core.cbg_batch import cbg_centroids_batch
 
     matrix = scenario.rtt_matrix()
     dataset = GeolocationDataset()
     targets = scenario.targets if max_targets is None else scenario.targets[:max_targets]
+    cbg_lats, cbg_lons = cbg_centroids_batch(
+        scenario.vp_lats, scenario.vp_lons, matrix[:, : len(targets)]
+    )
     for column, target in enumerate(targets):
         rtts = matrix[:, column]
         answered = ~np.isnan(rtts)
         min_rtt = float(np.nanmin(rtts)) if answered.any() else None
 
         estimates: Dict[str, Optional[List[float]]] = {}
-        centroid = cbg_centroid_fast(scenario.vp_lats, scenario.vp_lons, rtts)
-        estimates["cbg"] = None if centroid is None else [centroid[0], centroid[1]]
+        lat, lon = float(cbg_lats[column]), float(cbg_lons[column])
+        estimates["cbg"] = None if np.isnan(lat) else [lat, lon]
         if answered.any():
             best = int(np.nanargmin(rtts))
             vp = scenario.vps[best]

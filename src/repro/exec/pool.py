@@ -15,14 +15,15 @@ arrays by memory sharing instead of pickling multi-megabyte matrices per
 item; on platforms without ``fork`` the executor silently degrades to the
 serial path, which computes the same bytes.
 
-Observed campaigns fan out too: pass the campaign observer via ``obs=``
-and each work item runs inside a worker-side
-:class:`~repro.obs.snapshot.CaptureScope`, returning ``(result,
-snapshot)`` over the pipe. The parent merges the snapshots
-(:func:`~repro.obs.snapshot.merge_snapshots`, ordered by stable item
-index) and folds them into its live observer — metrics, event stream, and
-span tree come out byte-identical to a serial observed run (pinned by
-``tests/test_obs_distributed.py``).
+Every forked item runs through one wrapper that captures both telemetry
+planes and returns ``(result, snapshot, live_snapshot)`` over the pipe,
+each snapshot ``None`` when its plane is off. Observed campaigns fan out:
+pass the campaign observer via ``obs=`` and each work item runs inside a
+worker-side :class:`~repro.obs.snapshot.CaptureScope`. The parent merges
+the snapshots (:func:`~repro.obs.snapshot.merge_snapshots`, ordered by
+stable item index) and folds them into its live observer — metrics,
+event stream, and span tree come out byte-identical to a serial observed
+run (pinned by ``tests/test_obs_distributed.py``).
 
 The *operational* telemetry plane fans out the same way: pass a
 :class:`~repro.obs.live.LiveTelemetry` via ``live=`` and each item's
@@ -96,9 +97,9 @@ def default_chunksize(n_items: int, workers: int) -> int:
     return max(1, n_items // max(1, workers * 4))
 
 
-#: Shared (fn, observer) for the observed-item wrapper; populated in the
-#: parent immediately before the pool forks, so workers inherit it.
-_OBSERVED_CTX: Dict[str, object] = {}
+#: Shared (fn, observer, live flag) for :func:`_captured_item`; populated
+#: in the parent immediately before the pool forks, so workers inherit it.
+_CAPTURE_CTX: Dict[str, object] = {}
 
 #: Arena token pinned by :func:`arena_context` in the parent immediately
 #: before a pool forks; forked workers inherit the (tiny) token and attach
@@ -167,45 +168,37 @@ def attached_world_arrays():
     return cached[0]
 
 
-def _observed_item(pair: Tuple[int, T]):
-    """Run one work item under worker-side capture.
+def _captured_item(pair: Tuple[int, T]):
+    """Run one work item under worker-side capture of both planes.
 
-    Returns ``(result, snapshot)``; the snapshot carries everything the
-    item recorded on the campaign observer, tagged with the item's stable
-    index so the parent-side merge reproduces serial emission order.
+    Returns ``(result, snapshot, live_snapshot)``. ``snapshot`` carries
+    everything the item recorded on the campaign observer, tagged with the
+    item's stable index so the parent-side merge reproduces serial
+    emission order; ``live_snapshot`` is a one-item
+    :class:`~repro.obs.live.LiveSnapshot` carrying the item's wall-clock
+    runtime (capture scope included). Each is ``None`` when its plane is
+    off. Live snapshot merge is associative, so the parent's totals match
+    a serial run's regardless of chunking or completion order.
     """
-    from repro.obs.snapshot import CaptureScope
-
     index, item = pair
-    with CaptureScope(_OBSERVED_CTX["obs"], index) as scope:
-        result = _OBSERVED_CTX["fn"](item)
-    return result, scope.snapshot
+    fn = _CAPTURE_CTX["fn"]
+    obs = _CAPTURE_CTX["obs"]
+    started = time.perf_counter()
+    if obs is None:
+        result, snapshot = fn(item), None
+    else:
+        from repro.obs.snapshot import CaptureScope
 
-
-#: Shared inner callable for the live-item wrapper; populated next to
-#: :data:`_OBSERVED_CTX` before the pool forks.
-_LIVE_CTX: Dict[str, object] = {}
-
-
-def _live_item(pair: Tuple[int, T]):
-    """Run one work item under worker-side wall-clock capture.
-
-    Wraps either the plain work function or :func:`_observed_item`
-    (``_LIVE_CTX["observed"]`` picks the calling convention) and returns
-    ``(inner_result, live_snapshot)``: a one-item
-    :class:`~repro.obs.live.LiveSnapshot` carrying the item's runtime.
-    Snapshot merge is associative, so the parent's totals match a serial
-    run's regardless of chunking or completion order.
-    """
+        with CaptureScope(obs, index) as scope:
+            result = fn(item)
+        snapshot = scope.snapshot
+    if not _CAPTURE_CTX["live"]:
+        return result, snapshot, None
     from repro.obs.live import LatencySketch, LiveSnapshot
 
-    inner = _LIVE_CTX["inner"]
-    started = time.perf_counter()
-    result = inner(pair) if _LIVE_CTX["observed"] else inner(pair[1])
-    elapsed = time.perf_counter() - started
     sketch = LatencySketch()
-    sketch.add(elapsed)
-    return result, LiveSnapshot(
+    sketch.add(time.perf_counter() - started)
+    return result, snapshot, LiveSnapshot(
         counters=(("exec.items", 1),), sketches=(("exec.item_s", sketch),)
     )
 
@@ -273,44 +266,25 @@ def parallel_map(
     if chunksize is None:
         chunksize = default_chunksize(len(work), workers)
     observed = obs is not None and getattr(obs, "enabled", False)
-    if not observed and not live_on:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            results = list(pool.map(fn, work, chunksize=chunksize))
-        _check_item_parity(fn, work, results, obs, checker)
-        return results
-
-    if observed:
-        _OBSERVED_CTX["fn"] = fn
-        _OBSERVED_CTX["obs"] = obs
-        mapped = _observed_item
-    else:
-        mapped = fn
-    if live_on:
-        _LIVE_CTX["inner"] = mapped
-        _LIVE_CTX["observed"] = observed
-        mapped = _live_item
+    _CAPTURE_CTX["fn"] = fn
+    _CAPTURE_CTX["obs"] = obs if observed else None
+    _CAPTURE_CTX["live"] = live_on
     try:
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            pairs = list(
-                pool.map(mapped, list(enumerate(work)), chunksize=chunksize)
+            captured = list(
+                pool.map(_captured_item, list(enumerate(work)), chunksize=chunksize)
             )
     finally:
-        _OBSERVED_CTX.clear()
-        _LIVE_CTX.clear()
+        _CAPTURE_CTX.clear()
     if live_on:
         from repro.obs.live import merge_live_snapshots
 
-        live.absorb(
-            merge_live_snapshots(*(live_snap for _inner, live_snap in pairs))
-        )
-        pairs = [inner for inner, _live_snap in pairs]
+        live.absorb(merge_live_snapshots(*(item[2] for item in captured)))
     if observed:
         from repro.obs.snapshot import merge_snapshots
 
-        obs.absorb(merge_snapshots(*(snapshot for _result, snapshot in pairs)))
-        results = [result for result, _snapshot in pairs]
-    else:
-        results = list(pairs)
+        obs.absorb(merge_snapshots(*(item[1] for item in captured)))
+    results = [item[0] for item in captured]
     _check_item_parity(fn, work, results, obs, checker)
     return results
 

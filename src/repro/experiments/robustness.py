@@ -27,11 +27,10 @@ import numpy as np
 
 from repro.atlas.resilient import RetryPolicy
 from repro.constants import MIN_USABLE_VPS
-from repro.core.cbg import cbg_centroid_fast
+from repro.core.cbg_batch import cbg_errors_batch
 from repro.experiments.base import ExperimentOutput
 from repro.experiments.scenario import Scenario
 from repro.faults import FaultPlan
-from repro.geo.coords import haversine_km
 
 #: Default fault-rate sweep (0 = the fair-weather baseline).
 DEFAULT_FAULT_RATES = (0.0, 0.05, 0.1, 0.2, 0.3)
@@ -101,25 +100,13 @@ def run_robustness(
             if row is not None:
                 matrix[row, column] = np.nan
 
-        errors = []
-        located = 0
-        for column in range(target_count):
-            centroid = cbg_centroid_fast(
-                vp_lats, vp_lons, matrix[:, column], min_vps=min_vps
-            )
-            if centroid is None:
-                continue
-            located += 1
-            errors.append(
-                haversine_km(
-                    centroid[0],
-                    centroid[1],
-                    float(true_lats[column]),
-                    float(true_lons[column]),
-                )
-            )
+        errors = cbg_errors_batch(
+            vp_lats, vp_lons, matrix, true_lats, true_lons, min_vps=min_vps
+        )
+        errors = errors[~np.isnan(errors)]
+        located = errors.size
 
-        median_error = float(np.median(errors)) if errors else float("nan")
+        median_error = float(np.median(errors)) if errors.size else float("nan")
         located_fraction = located / target_count if target_count else 0.0
         cell_coverage = float(np.mean(~np.isnan(matrix))) if matrix.size else 0.0
         stats = client.stats

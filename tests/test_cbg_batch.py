@@ -5,8 +5,8 @@ The batched kernel promises *bitwise* identical results to calling
 equal. Every comparison here is ``np.array_equal(..., equal_nan=True)``
 on raw float64 output, across the edge cases the kernel handles with
 special machinery: all-NaN columns, ``min_vps`` starvation, ``max_active``
-overflow (the exact trim replay), near-full masked subsets, cached vs
-uncached derived arrays, and chunked execution.
+overflow (the exact trim replay), near-full masked subsets, the resident
+solver slot vs throwaway solvers, and chunked execution.
 """
 
 import math
@@ -19,7 +19,6 @@ from repro.core import cbg_batch
 from repro.core.cbg import cbg_centroid_fast, cbg_errors_for_subsets, cbg_estimate
 from repro.core.cbg_batch import (
     CbgBatchSolver,
-    _reset_derived_cache,
     cbg_centroids_batch,
     cbg_errors_batch,
     cbg_errors_for_subsets_loop,
@@ -29,11 +28,10 @@ from repro.obs.observer import Observer
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    """Each test starts and ends without a populated derived-array cache."""
-    _reset_derived_cache()
-    yield
-    _reset_derived_cache()
+def fresh_slot(monkeypatch):
+    """Each test starts without a resident solver; the slot is put back after."""
+    monkeypatch.setattr(cbg_batch, "_SOLVER_SLOT", None)
+    monkeypatch.setattr(cbg_batch, "_LAST_MISS", None)
 
 
 def _random_world(rng, n_vps, n_targets, nan_fraction=0.3):
@@ -152,15 +150,14 @@ class TestCentroidParity:
         _assert_bitwise(got[0], want[0])
         _assert_bitwise(got[1], want[1])
 
-    def test_chunked_execution_bitwise(self):
+    def test_chunked_execution_bitwise(self, monkeypatch):
         rng = np.random.default_rng(14)
         vp_lats, vp_lons, _tl, _to, matrix = _random_world(rng, 60, 37)
         subset = np.sort(rng.choice(60, size=45, replace=False))
         whole = cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)
         for chunk in (1, 5, 36, 37, 1000):
-            parts = cbg_centroids_batch(
-                vp_lats, vp_lons, matrix, subset, chunk_targets=chunk
-            )
+            monkeypatch.setattr(cbg_batch, "_adaptive_chunk", lambda width: chunk)
+            parts = cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)
             _assert_bitwise(whole[0], parts[0])
             _assert_bitwise(whole[1], parts[1])
 
@@ -184,18 +181,19 @@ class TestDerivedCache:
         vp_lats, vp_lons, _tl, _to, matrix = _random_world(rng, 70, 24)
         subset = np.sort(rng.choice(70, size=30, replace=False))
         cold = cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)
-        # Second and later sightings of the same matrix run off the cache.
+        # Second and later sightings of the same matrix run off the slot.
         warm1 = cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)
         warm2 = cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)
-        assert cbg_batch._DERIVED_SLOT is not None
+        assert isinstance(cbg_batch._SOLVER_SLOT, CbgBatchSolver)
+        assert cbg_batch._SOLVER_SLOT.matrix is matrix
         for got in (warm1, warm2):
             _assert_bitwise(cold[0], got[0])
             _assert_bitwise(cold[1], got[1])
 
     def test_masked_near_full_mode_bitwise(self):
         # A sorted subset covering >= 3/4 of the VPs takes the full-width
-        # masked path off the cached arrays; gather path and reference
-        # loop must agree bitwise.
+        # masked path off the resident solver; the throwaway solver and
+        # the reference loop must agree bitwise.
         rng = np.random.default_rng(17)
         vp_lats, vp_lons, _tl, _to, matrix = _random_world(rng, 100, 30)
         subset = np.sort(rng.choice(100, size=90, replace=False))
@@ -211,12 +209,39 @@ class TestDerivedCache:
         vp_lats, vp_lons, _tl, _to, matrix = _random_world(rng, 40, 14)
         subset = np.arange(40)
         cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)
-        cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)  # cache warm
+        cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)  # slot warm
         other = matrix + 1.0
         got = cbg_centroids_batch(vp_lats, vp_lons, other, subset)
         want = _loop_centroids(vp_lats, vp_lons, other, subset)
         _assert_bitwise(got[0], want[0])
         _assert_bitwise(got[1], want[1])
+
+    @pytest.mark.parametrize("size", [20, 45])
+    def test_warm_slot_serves_only_its_own_inputs(self, size):
+        # The slot is warm with the default inputs; the same matrix object
+        # under other VP coordinates, soi_fraction, min_vps or max_active
+        # must be answered for those inputs (gather and masked subsets).
+        rng = np.random.default_rng(24)
+        vp_lats, vp_lons, _tl, _to, matrix = _random_world(
+            rng, 50, 18, nan_fraction=0.4
+        )
+        subset = np.sort(rng.choice(50, size=size, replace=False))
+        moved_lats = vp_lats.copy()
+        moved_lats[subset[::2]] += 3.0
+        cases = [
+            (moved_lats, vp_lons, {}),
+            (vp_lats, vp_lons[::-1].copy(), {}),
+            (vp_lats, vp_lons, {"soi_fraction": 4.0 / 9.0}),
+            (vp_lats, vp_lons, {"min_vps": size // 2 + 2}),
+            (vp_lats, vp_lons, {"max_active": 1}),
+        ]
+        for lats, lons, kwargs in cases:
+            for _ in range(2):  # a matrix claims the slot on its second sighting
+                cbg_centroids_batch(vp_lats, vp_lons, matrix, subset)
+            got = cbg_centroids_batch(lats, lons, matrix, subset, **kwargs)
+            want = _loop_centroids(lats, lons, matrix, subset, **kwargs)
+            _assert_bitwise(got[0], want[0])
+            _assert_bitwise(got[1], want[1])
 
 
 class TestErrorsParity:
@@ -414,6 +439,66 @@ class TestSolverRowReplacement:
         assert solver.matrix is not moved
         assert not solver._stale.any()
         _assert_solver_matches_fresh(solver, vp_lats, vp_lons, base)
+
+
+def _vp_modes(rng, n_vps):
+    """One VP subset per solver mode, plus the inputs that normalise away."""
+    near_full = (7 * n_vps) // 8
+    return {
+        "none": None,
+        "full range": np.arange(n_vps),
+        "masked": np.sort(rng.choice(n_vps, size=near_full, replace=False)),
+        "gathered": np.sort(rng.choice(n_vps, size=n_vps // 3, replace=False)),
+        "unsorted": rng.permutation(n_vps)[:near_full],
+        "empty": [],
+    }
+
+
+class TestSolverVpSubsets:
+    """``centroids(columns, vps)`` in every VP mode, column lists included."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_modes_match_loop_over_fuzz_worlds(self, index):
+        vp_lats, vp_lons, matrix = _fuzz_solver_inputs(index)
+        n_vps, n = matrix.shape
+        rng = np.random.default_rng([index, 25])
+        columns = rng.choice(n, size=n + 3, replace=True)  # duplicates included
+        solver = CbgBatchSolver(vp_lats, vp_lons, matrix)
+        for label, vps in _vp_modes(rng, n_vps).items():
+            rows = np.arange(n_vps) if vps is None else np.asarray(vps, dtype=np.intp)
+            want_lats, want_lons = _loop_centroids(vp_lats, vp_lons, matrix, rows)
+            got_lats, got_lons = solver.centroids(vps=vps)
+            assert got_lats.tobytes() == want_lats.tobytes(), label
+            assert got_lons.tobytes() == want_lons.tobytes(), label
+            got_lats, got_lons = solver.centroids(columns, vps=vps)
+            assert got_lats.tobytes() == want_lats[columns].tobytes(), label
+            assert got_lons.tobytes() == want_lons[columns].tobytes(), label
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_replaced_columns_under_vp_subsets(self, index):
+        # Stale rows are re-derived before the masked mode repairs the
+        # stats against the excluded rows, and before rows are gathered.
+        # The moved columns take other targets' measured RTTs, so they
+        # stay feasible: stale stats cannot hide behind the exact
+        # fallback, which answers from the matrix itself.
+        vp_lats, vp_lons, base = _fuzz_solver_inputs(index)
+        n_vps, n = base.shape
+        rng = np.random.default_rng([index, 26])
+        columns = np.sort(rng.choice(n, size=max(2, n // 4), replace=False))
+        moved = base.copy()
+        moved[:, columns] = base[:, np.roll(columns, 1)]
+        fresh = CbgBatchSolver(vp_lats, vp_lons, moved)
+        modes = _vp_modes(rng, n_vps)
+        for label in ("masked", "gathered"):
+            for request in (columns, columns[::-1], None):
+                solver = CbgBatchSolver(vp_lats, vp_lons, base)
+                solver.replace_columns(moved, columns)
+                obs_got, obs_want = Observer(), Observer()
+                got = solver.centroids(request, vps=modes[label], obs=obs_got)
+                want = fresh.centroids(request, vps=modes[label], obs=obs_want)
+                assert got[0].tobytes() == want[0].tobytes(), label
+                assert got[1].tobytes() == want[1].tobytes(), label
+                assert obs_got.metrics.counters() == obs_want.metrics.counters(), label
 
 
 class TestObsCounters:

@@ -153,12 +153,14 @@ class TestBrokenPaths:
     def test_broken_serve_engine_is_caught(self, quick_scenario, monkeypatch):
         from repro.serve import engine as serve_engine
 
-        original = serve_engine.CbgBatchSolver.centroids
+        # Only the engine's solver breaks: the batch side runs the same
+        # solver class, so patching the class would break both alike.
+        class BrokenSolver(serve_engine.CbgBatchSolver):
+            def centroids(self, columns=None, vps=None, obs=None):
+                lats, lons = super().centroids(columns, vps)
+                return lats + 0.5, lons
 
-        def broken(self, columns=None, obs=None, chunk_targets=None):
-            lats, lons = original(self, columns=columns)
-            return lats + 0.5, lons
-        monkeypatch.setattr(serve_engine.CbgBatchSolver, "centroids", broken)
+        monkeypatch.setattr(serve_engine, "CbgBatchSolver", BrokenSolver)
         outcome = diff_serve_vs_batch(quick_scenario)
         assert not outcome.ok
         assert "diverges" in outcome.detail

@@ -282,9 +282,9 @@ def _slow_square(x: int) -> int:
 
 
 def _observed_square(x: int) -> int:
-    from repro.exec.pool import _OBSERVED_CTX
+    from repro.exec.pool import _CAPTURE_CTX
 
-    obs = _OBSERVED_CTX.get("obs")
+    obs = _CAPTURE_CTX.get("obs")
     if obs is not None and obs.enabled:
         obs.count("squares")
     return x * x
