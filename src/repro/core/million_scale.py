@@ -83,6 +83,25 @@ def select_closest_vps(
     return order[:k]
 
 
+def closest_vps_matrix(
+    rtt_matrix: np.ndarray, rep_rtt_matrix: np.ndarray, k: int
+) -> np.ndarray:
+    """``rtt_matrix`` with every column keeping only its selected VPs.
+
+    Column ``j`` keeps the rows :func:`select_closest_vps` picks from
+    ``rep_rtt_matrix[:, j]``; every other entry is NaN. One batched CBG
+    call over the result scores each target on its own selection. The
+    kernel compacts a column's answers in VP order where the selection
+    orders them by RTT, which only an exact tie in the tightest radius
+    could tell apart.
+    """
+    masked = np.full_like(rtt_matrix, np.nan)
+    for column in range(rtt_matrix.shape[1]):
+        chosen = select_closest_vps(rep_rtt_matrix[:, column], k)
+        masked[chosen, column] = rtt_matrix[chosen, column]
+    return masked
+
+
 def geolocate_with_selection(
     client: AtlasClient,
     target_ip: str,

@@ -5,8 +5,6 @@ guarantees; ``REPRO_WORKERS`` selects the worker count (default serial).
 """
 
 from repro.exec.pool import (
-    arena_context,
-    attached_world_arrays,
     chunked,
     default_chunksize,
     parallel_map,
@@ -14,8 +12,6 @@ from repro.exec.pool import (
 )
 
 __all__ = [
-    "arena_context",
-    "attached_world_arrays",
     "chunked",
     "default_chunksize",
     "parallel_map",

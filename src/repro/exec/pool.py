@@ -10,29 +10,35 @@ determinism suite (``tests/test_exec.py``) pins it.
 Workers come from the ``REPRO_WORKERS`` environment variable (unset, "",
 "0" or "1" → serial; a positive integer → that many processes; ``auto`` →
 CPU count; anything else, including negative integers, raises). The pool
-uses the ``fork`` start method, so workers inherit the parent's scenario
-arrays by memory sharing instead of pickling multi-megabyte matrices per
-item; on platforms without ``fork`` the executor silently degrades to the
-serial path, which computes the same bytes.
+uses the ``fork`` start method; on platforms without ``fork`` the
+executor silently degrades to the serial path, which computes the same
+bytes.
 
-Every forked item runs through one wrapper that captures both telemetry
-planes and returns ``(result, snapshot, live_snapshot)`` over the pipe,
-each snapshot ``None`` when its plane is off. Observed campaigns fan out:
-pass the campaign observer via ``obs=`` and each work item runs inside a
-worker-side :class:`~repro.obs.snapshot.CaptureScope`. The parent merges
-the snapshots (:func:`~repro.obs.snapshot.merge_snapshots`, ordered by
-stable item index) and folds them into its live observer — metrics,
-event stream, and span tree come out byte-identical to a serial observed
-run (pinned by ``tests/test_obs_distributed.py``).
+``fn`` is any callable. A campaign binds its arrays to a module-level
+worker with :func:`functools.partial`; the pool parks ``fn`` (and the
+campaign observer) in one fork-inherited slot, ``_CAPTURE_CTX``, right
+before it forks and empties it afterwards. Workers inherit the closure and
+its multi-megabyte matrices by memory sharing — nothing of it is pickled,
+and only ``(index, item)`` pairs cross the pipe. Nothing a campaign passes
+outlives its ``parallel_map`` call.
 
-The *operational* telemetry plane fans out the same way: pass a
-:class:`~repro.obs.live.LiveTelemetry` via ``live=`` and each item's
-wall-clock runtime is captured worker-side as a
-:class:`~repro.obs.live.LiveSnapshot` (an ``exec.item_s`` latency sketch
-plus an ``exec.items`` counter), merged associatively in the parent
-(:func:`~repro.obs.live.merge_live_snapshots`). Wall timings never touch
-``obs`` — the deterministic streams stay byte-identical with the live
-plane on or off (pinned by ``tests/test_serve_live.py``).
+Every forked item runs through one wrapper that returns ``(result,
+snapshot, seconds)``: the item's result, what it recorded on the campaign
+observer (``None`` when unobserved), and its wall time. Observed campaigns
+fan out: pass the campaign observer via ``obs=`` and each work item runs
+inside a worker-side :class:`~repro.obs.snapshot.CaptureScope`. The parent
+merges the snapshots (:func:`~repro.obs.snapshot.merge_snapshots`, ordered
+by stable item index — the pool's one merge) and folds them into its live
+observer — metrics, event stream, and span tree come out byte-identical
+to a serial observed run (pinned by ``tests/test_obs_distributed.py``).
+
+The *operational* telemetry plane needs no merge: pass a
+:class:`~repro.obs.live.LiveTelemetry` via ``live=`` and the parent
+records every item's wall time into its ``exec.item_s`` sketch and the
+item total into ``exec.items``, with the same calls for serial and forked
+runs. Wall timings never touch ``obs`` — the deterministic streams stay
+byte-identical with the live plane on or off (pinned by
+``tests/test_serve_live.py``).
 """
 
 from __future__ import annotations
@@ -97,110 +103,32 @@ def default_chunksize(n_items: int, workers: int) -> int:
     return max(1, n_items // max(1, workers * 4))
 
 
-#: Shared (fn, observer, live flag) for :func:`_captured_item`; populated
-#: in the parent immediately before the pool forks, so workers inherit it.
+#: The pool's one fork-inherited slot: ``fn`` and the campaign observer
+#: for :func:`_captured_item`, set in the parent immediately before the
+#: pool forks and emptied when the map returns.
 _CAPTURE_CTX: Dict[str, object] = {}
-
-#: Arena token pinned by :func:`arena_context` in the parent immediately
-#: before a pool forks; forked workers inherit the (tiny) token and attach
-#: to the shared segment on first use instead of COW-inheriting the hot
-#: world arrays through dirty pages.
-_ARENA_TOKEN: Optional[object] = None
-
-#: Worker-side attachment cache: one mapping per segment per process.
-_ATTACHED_ARENAS: Dict[str, Tuple[object, object]] = {}
-
-
-class arena_context:
-    """Pin a shared-memory arena token for the next ``parallel_map``.
-
-    Usage (parent side)::
-
-        arrays = WorldArrays.from_topology(topology)
-        with arrays.share() as arena, arena_context(arena.token):
-            parallel_map(fn, items)
-
-    Work functions call :func:`attached_world_arrays` to get the published
-    :class:`~repro.world.arrays.WorldArrays` — in a forked worker that
-    attaches the shared segment (no copies, reads never dirty a page); in
-    the serial path it attaches the very same segment in-process, so both
-    paths read identical bytes. Re-entrant tokens nest (the previous token
-    is restored on exit).
-    """
-
-    def __init__(self, token) -> None:
-        self._token = token
-        self._previous: Optional[object] = None
-
-    def __enter__(self) -> "arena_context":
-        global _ARENA_TOKEN
-        self._previous = _ARENA_TOKEN
-        _ARENA_TOKEN = self._token
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _ARENA_TOKEN
-        _ARENA_TOKEN = self._previous
-
-
-def attached_world_arrays():
-    """The :class:`~repro.world.arrays.WorldArrays` behind the pinned token.
-
-    Returns ``None`` when no token is pinned or the platform has no shared
-    memory (callers fall back to their in-process arrays — the serial
-    degrade computes the same bytes). Attachment is cached per process:
-    the first call in a worker maps the segment, later calls are free.
-    """
-    if _ARENA_TOKEN is None:
-        return None
-    cached = _ATTACHED_ARENAS.get(_ARENA_TOKEN.segment)
-    if cached is None:
-        from repro.world.arrays import WorldArrays, arena_supported
-
-        if not arena_supported():  # pragma: no cover - POSIX containers
-            return None
-        try:
-            arrays, arena = WorldArrays.attach(_ARENA_TOKEN)
-        except FileNotFoundError:
-            return None
-        cached = (arrays, arena)
-        _ATTACHED_ARENAS[_ARENA_TOKEN.segment] = cached
-    return cached[0]
 
 
 def _captured_item(pair: Tuple[int, T]):
-    """Run one work item under worker-side capture of both planes.
+    """Run one work item in a forked worker.
 
-    Returns ``(result, snapshot, live_snapshot)``. ``snapshot`` carries
+    Returns ``(result, snapshot, seconds)``. ``snapshot`` carries
     everything the item recorded on the campaign observer, tagged with the
     item's stable index so the parent-side merge reproduces serial
-    emission order; ``live_snapshot`` is a one-item
-    :class:`~repro.obs.live.LiveSnapshot` carrying the item's wall-clock
-    runtime (capture scope included). Each is ``None`` when its plane is
-    off. Live snapshot merge is associative, so the parent's totals match
-    a serial run's regardless of chunking or completion order.
+    emission order (``None`` when the campaign is unobserved); ``seconds``
+    is the item's wall-clock runtime, capture scope included.
     """
     index, item = pair
     fn = _CAPTURE_CTX["fn"]
     obs = _CAPTURE_CTX["obs"]
     started = time.perf_counter()
     if obs is None:
-        result, snapshot = fn(item), None
-    else:
-        from repro.obs.snapshot import CaptureScope
+        return fn(item), None, time.perf_counter() - started
+    from repro.obs.snapshot import CaptureScope
 
-        with CaptureScope(obs, index) as scope:
-            result = fn(item)
-        snapshot = scope.snapshot
-    if not _CAPTURE_CTX["live"]:
-        return result, snapshot, None
-    from repro.obs.live import LatencySketch, LiveSnapshot
-
-    sketch = LatencySketch()
-    sketch.add(time.perf_counter() - started)
-    return result, snapshot, LiveSnapshot(
-        counters=(("exec.items", 1),), sketches=(("exec.item_s", sketch),)
-    )
+    with CaptureScope(obs, index) as scope:
+        result = fn(item)
+    return result, scope.snapshot, time.perf_counter() - started
 
 
 def parallel_map(
@@ -215,9 +143,10 @@ def parallel_map(
     """Map ``fn`` over ``items``, preserving order.
 
     Args:
-        fn: a module-level callable (picklable by reference). Any large
-            shared state must already live in module globals before the
-            call, so forked workers inherit it.
+        fn: any callable, closures and :func:`functools.partial` objects
+            included. Forked workers inherit it; it is never pickled. A
+            campaign binds its shared arrays to ``fn`` and forces any lazy
+            scenario state before the call, so no worker recomputes it.
         items: work descriptors; materialised to a list.
         workers: process count; defaults to :func:`worker_count`.
         chunksize: descriptors per dispatch; defaults to
@@ -235,10 +164,10 @@ def parallel_map(
             observability is captured and discarded so the live streams
             stay byte-identical to an unchecked run.
         live: optional :class:`~repro.obs.live.LiveTelemetry`. When
-            enabled, every item's wall-clock runtime lands in the plane's
-            ``exec.item_s`` sketch (captured worker-side and merged for
-            parallel runs, timed inline for serial ones). Never touches
-            ``obs``.
+            enabled, the parent records every item's wall-clock runtime
+            in the plane's ``exec.item_s`` sketch (timed worker-side for
+            parallel runs, inline for serial ones) and the item total in
+            ``exec.items``. Never touches ``obs``.
 
     Returns:
         ``[fn(item) for item in items]`` — by construction in the serial
@@ -255,37 +184,34 @@ def parallel_map(
     if workers <= 1 or context is None:
         if not live_on:
             return [fn(item) for item in work]
-        results = []
+        results, seconds = [], []
         for item in work:
             started = time.perf_counter()
             results.append(fn(item))
-            live.observe("exec.item_s", time.perf_counter() - started)
-        live.count("exec.items", len(work))
-        return results
+            seconds.append(time.perf_counter() - started)
+    else:
+        if chunksize is None:
+            chunksize = default_chunksize(len(work), workers)
+        observed = obs is not None and getattr(obs, "enabled", False)
+        _CAPTURE_CTX.update(fn=fn, obs=obs if observed else None)
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                captured = list(
+                    pool.map(_captured_item, list(enumerate(work)), chunksize=chunksize)
+                )
+        finally:
+            _CAPTURE_CTX.clear()
+        if observed:
+            from repro.obs.snapshot import merge_snapshots
 
-    if chunksize is None:
-        chunksize = default_chunksize(len(work), workers)
-    observed = obs is not None and getattr(obs, "enabled", False)
-    _CAPTURE_CTX["fn"] = fn
-    _CAPTURE_CTX["obs"] = obs if observed else None
-    _CAPTURE_CTX["live"] = live_on
-    try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            captured = list(
-                pool.map(_captured_item, list(enumerate(work)), chunksize=chunksize)
-            )
-    finally:
-        _CAPTURE_CTX.clear()
+            obs.absorb(merge_snapshots(*(item[1] for item in captured)))
+        results = [item[0] for item in captured]
+        seconds = [item[2] for item in captured]
+        _check_item_parity(fn, work, results, obs, checker)
     if live_on:
-        from repro.obs.live import merge_live_snapshots
-
-        live.absorb(merge_live_snapshots(*(item[2] for item in captured)))
-    if observed:
-        from repro.obs.snapshot import merge_snapshots
-
-        obs.absorb(merge_snapshots(*(item[1] for item in captured)))
-    results = [item[0] for item in captured]
-    _check_item_parity(fn, work, results, obs, checker)
+        for item_s in seconds:
+            live.observe("exec.item_s", item_s)
+        live.count("exec.items", len(work))
     return results
 
 
@@ -344,7 +270,7 @@ def _check_item_parity(fn, work, results, obs, checker) -> None:
             replay = fn(work[0])
     else:
         replay = fn(work[0])
-    label = getattr(fn, "__name__", repr(fn))
+    label = getattr(getattr(fn, "func", fn), "__name__", repr(fn))
     checker.check_exec_parity(
         _results_agree(replay, results[0]),
         f"parallel_map({label}) item 0 of {len(work)}",

@@ -35,6 +35,7 @@ armed inside every snapshot's platform via the scenario checker.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -60,36 +61,37 @@ _PROVIDERS = ("ipinfo", "maxmind-free")
 #: Street-level threshold used throughout the reproduction (paper §5).
 _CITY_KM = 40.0
 
-#: Shared per-run context for revision workers (see fig2's _TRIAL_CTX):
-#: populated before the parallel_map call so forked workers inherit the
-#: matrices without pickling; the serial path reads the same globals.
-_DRIFT_CTX: Dict[str, object] = {}
-
-
-def _revision_stats(revision: int) -> Dict[str, float]:
+def _revision_stats(
+    vp_lats: np.ndarray,
+    vp_lons: np.ndarray,
+    stale_matrix: np.ndarray,
+    matrices: List[np.ndarray],
+    moved_masks: List[np.ndarray],
+    truth_lats: List[np.ndarray],
+    truth_lons: List[np.ndarray],
+    revision: int,
+) -> Dict[str, float]:
     """Decay scores for one revision: stale vs fresh against truth ``k``.
 
-    Depends only on the revision index and the run context, so revisions
-    may score on any worker in any order with byte-identical results.
+    Depends only on the revision index and the per-revision arrays bound
+    before the fan-out, so revisions may score on any worker in any order
+    with byte-identical results.
     """
-    ctx = _DRIFT_CTX
-    truth_lats = ctx["truth_lats"][revision]
-    truth_lons = ctx["truth_lons"][revision]
-    moved = ctx["moved_masks"][revision]
+    moved = moved_masks[revision]
 
     def errors(matrix: np.ndarray) -> np.ndarray:
         # Checker stays off here by design (see module docstring).
         return cbg_errors_batch(
-            ctx["vp_lats"],
-            ctx["vp_lons"],
+            vp_lats,
+            vp_lons,
             matrix,
-            truth_lats,
-            truth_lons,
+            truth_lats[revision],
+            truth_lons[revision],
             checker=NULL_CHECKER,
         )
 
-    stale = errors(ctx["stale_matrix"])
-    fresh = errors(ctx["matrices"][revision])
+    stale = errors(stale_matrix)
+    fresh = errors(matrices[revision])
 
     def med(values: np.ndarray) -> float:
         defined = values[~np.isnan(values)]
@@ -174,17 +176,18 @@ def run_drift(
             cumulative[inc_tl.moved_target_columns(k, ips)] = True
         moved_masks.append(cumulative)
     truths = [_truth_for(scenario, inc_tl.snapshot(k).world) for k in range(revisions + 1)]
-    _DRIFT_CTX.update(
-        vp_lats=scenario.vp_lats,
-        vp_lons=scenario.vp_lons,
-        stale_matrix=base,
-        matrices=matrices,
-        moved_masks=moved_masks,
-        truth_lats=[t[0] for t in truths],
-        truth_lons=[t[1] for t in truths],
+    revision_stats = partial(
+        _revision_stats,
+        scenario.vp_lats,
+        scenario.vp_lons,
+        base,
+        matrices,
+        moved_masks,
+        [t[0] for t in truths],
+        [t[1] for t in truths],
     )
     stats = parallel_map(
-        _revision_stats,
+        revision_stats,
         range(revisions + 1),
         obs=scenario.obs,
         checker=scenario.checker,

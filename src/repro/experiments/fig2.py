@@ -12,6 +12,7 @@ Three sub-experiments replicate the million scale paper's hypotheses:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,31 +38,37 @@ FIG2C_EXPECTED = {
 }
 
 
-#: Shared per-campaign context for trial workers. Populated before the
-#: executor call, so forked workers inherit the arrays without pickling;
-#: the serial path reads the same globals in-process.
-_TRIAL_CTX: Dict[str, object] = {}
-
-
-def _trial_median(trial: int) -> Optional[float]:
+def _trial_median(
+    vp_lats: np.ndarray,
+    vp_lons: np.ndarray,
+    matrix: np.ndarray,
+    target_lats: np.ndarray,
+    target_lons: np.ndarray,
+    seed: int,
+    label: str,
+    size: int,
+    obs,
+    checker,
+    trial: int,
+) -> Optional[float]:
     """One Figure-2 trial: median CBG error over a random VP subset.
 
-    Depends only on the trial index and the campaign context — randomness
-    is counter-keyed by ``(seed, label, size, trial)`` — so trials may run
-    in any order, on any worker, with byte-identical results.
+    Depends only on the trial index and the campaign arrays bound before
+    the fan-out — randomness is counter-keyed by ``(seed, label, size,
+    trial)`` — so trials may run in any order, on any worker, with
+    byte-identical results.
     """
-    ctx = _TRIAL_CTX
-    rng = rand.generator((ctx["seed"], ctx["label"], ctx["size"], trial))
-    subset = rng.choice(ctx["vp_count"], size=ctx["size"], replace=False)
+    rng = rand.generator((seed, label, size, trial))
+    subset = rng.choice(len(vp_lats), size=size, replace=False)
     errors = cbg_errors_for_subsets(
-        ctx["vp_lats"],
-        ctx["vp_lons"],
-        ctx["matrix"],
-        ctx["target_lats"],
-        ctx["target_lons"],
+        vp_lats,
+        vp_lons,
+        matrix,
+        target_lats,
+        target_lons,
         np.sort(subset),
-        obs=ctx["obs"],
-        checker=ctx["checker"],
+        obs=obs,
+        checker=checker,
     )
     defined = errors[~np.isnan(errors)]
     if defined.size:
@@ -73,26 +80,25 @@ def _subset_median_errors(
     scenario: Scenario, size: int, trials: int, label: str
 ) -> List[float]:
     """Median CBG error over targets, for ``trials`` random VP subsets."""
+    # Measured here, in the parent: a worker would run the campaign anew.
     matrix = scenario.rtt_matrix()
-    vp_count = len(scenario.vps)
-    size = min(size, vp_count)
-    _TRIAL_CTX.update(
-        seed=scenario.world.config.seed,
-        label=label,
-        size=size,
-        vp_count=vp_count,
-        vp_lats=scenario.vp_lats,
-        vp_lons=scenario.vp_lons,
-        matrix=matrix,
-        target_lats=scenario.target_true_lats,
-        target_lons=scenario.target_true_lons,
-        obs=scenario.obs,
-        checker=scenario.checker,
+    trial_median = partial(
+        _trial_median,
+        scenario.vp_lats,
+        scenario.vp_lons,
+        matrix,
+        scenario.target_true_lats,
+        scenario.target_true_lons,
+        scenario.world.config.seed,
+        label,
+        min(size, len(scenario.vps)),
+        scenario.obs,
+        scenario.checker,
     )
     # Observed trials fan out like unobserved ones: worker-side capture +
     # deterministic merge keeps the campaign counters complete either way.
     results = parallel_map(
-        _trial_median,
+        trial_median,
         range(trials),
         obs=scenario.obs,
         checker=scenario.checker,

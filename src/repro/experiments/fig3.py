@@ -17,7 +17,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core.cbg import cbg_errors_for_subsets
 from repro.core.coverage import greedy_coverage_indices
-from repro.core.million_scale import select_closest_vps
+from repro.core.million_scale import closest_vps_matrix
 from repro.core.two_step import two_step_select
 from repro.experiments.base import ExperimentOutput
 from repro.experiments.scenario import Scenario
@@ -47,19 +47,14 @@ def run_fig3a(
     rows: List[List[object]] = []
 
     for k in ks:
-        errors = np.full(len(scenario.targets), np.nan)
-        for column in range(len(scenario.targets)):
-            chosen = select_closest_vps(rep_min[:, column], k)
-            if chosen.size == 0:
-                continue
-            errors[column] = cbg_errors_for_subsets(
-                scenario.vp_lats,
-                scenario.vp_lons,
-                target_matrix[:, [column]],
-                scenario.target_true_lats[[column]],
-                scenario.target_true_lons[[column]],
-                chosen,
-            )[0]
+        errors = cbg_errors_for_subsets(
+            scenario.vp_lats,
+            scenario.vp_lons,
+            closest_vps_matrix(target_matrix, rep_min, k),
+            scenario.target_true_lats,
+            scenario.target_true_lons,
+            np.arange(len(scenario.vps)),
+        )
         series[f"{k}-closest"] = errors.tolist()
         rows.append(_row(f"{k} closest VP(s)", errors))
 

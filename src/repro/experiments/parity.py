@@ -18,7 +18,7 @@ from repro.analysis import format_table
 from repro.analysis.ascii_plots import ascii_cdf
 from repro.analysis.compare import ks_distance, median_ratio
 from repro.core.cbg import cbg_errors_for_subsets
-from repro.core.million_scale import select_closest_vps
+from repro.core.million_scale import closest_vps_matrix, select_closest_vps
 from repro.experiments.base import ExperimentOutput
 from repro.experiments.scenario import Scenario
 from repro.geo.coords import haversine_km
@@ -71,19 +71,14 @@ def run_parity(scenario: Scenario) -> ExperimentOutput:
         return select_closest_vps(rep_min[:, column], 10)
 
     sp_selected = _shortest_ping_errors(scenario, selected)
-    cbg_selected = np.full(len(scenario.targets), np.nan)
-    for column in range(len(scenario.targets)):
-        subset = selected(column)
-        if subset.size == 0:
-            continue
-        cbg_selected[column] = cbg_errors_for_subsets(
-            scenario.vp_lats,
-            scenario.vp_lons,
-            matrix[:, [column]],
-            scenario.target_true_lats[[column]],
-            scenario.target_true_lons[[column]],
-            subset,
-        )[0]
+    cbg_selected = cbg_errors_for_subsets(
+        scenario.vp_lats,
+        scenario.vp_lons,
+        closest_vps_matrix(matrix, rep_min, 10),
+        scenario.target_true_lats,
+        scenario.target_true_lons,
+        all_indices,
+    )
 
     rows: List[List[object]] = []
     measured: Dict[str, float] = {}

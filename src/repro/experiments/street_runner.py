@@ -11,10 +11,12 @@ scenario they describe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.atlas.platform import ProbeInfo
 from repro.core.street_level import (
     StreetLevelConfig,
     StreetLevelPipeline,
@@ -62,29 +64,28 @@ class TargetRecord:
         return unusable / len(self.landmark_measured_km)
 
 
-#: Shared campaign context for target workers; populated before the
-#: executor call so forked workers inherit the pipeline and mesh without
-#: pickling them per item (the serial path reads the same globals), and
-#: emptied when the campaign returns.
-_STREET_CTX: Dict[str, object] = {}
-
-
-def _street_target(index: int) -> TargetRecord:
-    """Geolocate one street-level target from the shared campaign context.
+def _street_target(
+    targets: List[Host],
+    mesh: np.ndarray,
+    mesh_row_by_id: Dict[int, int],
+    pipeline: StreetLevelPipeline,
+    anchors: List[ProbeInfo],
+    index: int,
+) -> TargetRecord:
+    """Geolocate one street-level target of the campaign bound before the
+    fan-out.
 
     Each target's measurements are keyed by its own IP/sequence counters,
     never by shared mutable state, so targets may run in any order on any
     worker with byte-identical results.
     """
-    ctx = _STREET_CTX
-    target = ctx["targets"][index]
-    mesh = ctx["mesh"]
-    column = ctx["mesh_row_by_id"][target.host_id]
+    target = targets[index]
+    column = mesh_row_by_id[target.host_id]
     tier1_rtts = {
         anchor_id: (None if np.isnan(mesh[row, column]) else float(mesh[row, column]))
-        for anchor_id, row in ctx["mesh_row_by_id"].items()
+        for anchor_id, row in mesh_row_by_id.items()
     }
-    result = ctx["pipeline"].geolocate(target.ip, ctx["anchors"], tier1_rtts)
+    result = pipeline.geolocate(target.ip, anchors, tier1_rtts)
     return _evaluate(target, result)
 
 
@@ -123,26 +124,16 @@ def street_level_records(
     # up front so the campaign only reads it (serial and parallel alike).
     scenario.world.materialize_all_pois()
 
-    _STREET_CTX.update(
-        targets=targets,
-        mesh=mesh,
-        mesh_row_by_id=mesh_row_by_id,
-        pipeline=pipeline,
-        anchors=anchors,
+    # Observed campaigns fan out too: workers capture per-target
+    # counters/events/spans and the executor folds them back into the
+    # live observer, byte-identical to a serial observed run.
+    records = parallel_map(
+        partial(_street_target, targets, mesh, mesh_row_by_id, pipeline, anchors),
+        range(len(targets)),
+        obs=pipeline.obs,
+        checker=scenario.checker,
+        live=getattr(scenario, "live", None),
     )
-    try:
-        # Observed campaigns fan out too: workers capture per-target
-        # counters/events/spans and the executor folds them back into the
-        # live observer, byte-identical to a serial observed run.
-        records = parallel_map(
-            _street_target,
-            range(len(targets)),
-            obs=pipeline.obs,
-            checker=scenario.checker,
-            live=getattr(scenario, "live", None),
-        )
-    finally:
-        _STREET_CTX.clear()
 
     if config is None:
         scenario.street_records[max_targets] = records

@@ -25,6 +25,7 @@ serial run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.check.invariants import NULL_CHECKER
@@ -159,16 +160,12 @@ class HintMatch:
     city_id: int
 
 
-#: Module-global context for the find workers: populated before the
-#: parallel_map fork, read-only afterwards (same pattern as the fig2
-#: trial context).
-_FIND_CTX: Dict[str, object] = {}
-
-
-def _find_one(index: int) -> Optional[HintMatch]:
-    names: Sequence[Tuple[str, Optional[str]]] = _FIND_CTX["names"]
-    trie: CodeTrie = _FIND_CTX["trie"]
-    obs = _FIND_CTX["obs"]
+def _find_one(
+    names: Sequence[Tuple[str, Optional[str]]],
+    trie: CodeTrie,
+    obs,
+    index: int,
+) -> Optional[HintMatch]:
     ip, hostname = names[index]
     found = trie.find(hostname)
     if obs.enabled:
@@ -205,7 +202,10 @@ def find_hints(
     to a serial one, which the ``diff_hints`` selfcheck leg pins.
     """
     names = list(names)
-    _FIND_CTX.update(names=names, trie=trie, obs=obs)
     return parallel_map(
-        _find_one, range(len(names)), obs=obs, checker=checker, live=live
+        partial(_find_one, names, trie, obs),
+        range(len(names)),
+        obs=obs,
+        checker=checker,
+        live=live,
     )

@@ -39,13 +39,11 @@ from repro.obs.live import (
     FlightRecord,
     FlightRecorder,
     LatencySketch,
-    LiveSnapshot,
     LiveTelemetry,
     NullLive,
     RollingCounter,
     SloPolicy,
     SloStatus,
-    merge_live_snapshots,
 )
 from repro.obs.metrics import DEFAULT_BUCKET_BOUNDS, Histogram, MetricsRegistry
 from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer
@@ -76,7 +74,6 @@ __all__ = [
     "Histogram",
     "ItemCapture",
     "LatencySketch",
-    "LiveSnapshot",
     "LiveTelemetry",
     "MetricsRegistry",
     "NULL_LIVE",
@@ -94,7 +91,6 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_json",
     "collapsed_stacks",
-    "merge_live_snapshots",
     "merge_snapshots",
     "prometheus_text",
     "render_dashboard",

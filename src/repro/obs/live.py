@@ -10,9 +10,9 @@ behaviour, and error budgets. This module is that second plane, and the
 two never mix:
 
 * :class:`LatencySketch` — a fixed log-bucketed histogram (DDSketch-style)
-  with a documented relative-error bound on every quantile, mergeable
-  across fork workers the way :class:`~repro.obs.snapshot.ObsSnapshot`
-  merges the deterministic plane;
+  with a documented relative-error bound on every quantile. A forked
+  campaign item sends its wall time back with its result and the parent
+  records it here, so the plane never merges across processes;
 * :class:`RollingCounter` — an events-per-second rate over a sliding
   wall-clock window (refusal spikes, request rates);
 * :class:`FlightRecorder` — a fixed-capacity ring buffer of recent
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +52,7 @@ DEFAULT_SKETCH_MAX_S = 3600.0
 
 
 class LatencySketch:
-    """A mergeable streaming quantile sketch over log-spaced buckets.
+    """A streaming quantile sketch over log-spaced buckets.
 
     DDSketch-style: bucket ``i`` covers ``(min_value * gamma**(i-1),
     min_value * gamma**i]`` with ``gamma = (1 + a) / (1 - a)`` for relative
@@ -61,10 +61,7 @@ class LatencySketch:
     error ``a`` of the true sample quantile for any value inside
     ``[min_value, max_value]``. Bucket count is **fixed at construction**
     (two extra buckets catch underflow and overflow), so the memory bound
-    is static and two sketches with the same parameters merge by adding
-    their count arrays — an associative, order-independent operation
-    (property-tested in ``tests/test_obs_live.py``, mirroring the
-    ``ObsSnapshot`` merge suite).
+    is static (the bound is property-tested in ``tests/test_obs_live.py``).
 
     Values above ``max_value`` land in the overflow bucket (counted in
     :attr:`overflow`; their quantile estimate degrades to ``max_value``),
@@ -190,8 +187,7 @@ class LatencySketch:
         """The value at quantile ``q`` in [0, 1], within the error bound.
 
         Returns NaN on an empty sketch. The estimate is exact-rank over
-        the bucket counts, so merging sketches never changes a quantile
-        answer relative to recording the union directly.
+        the bucket counts.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1]: {q}")
@@ -217,48 +213,6 @@ class LatencySketch:
         boundary = self._index(threshold)
         return float(self.bins[boundary + 1 :].sum()) / self.count
 
-    # --- merging -----------------------------------------------------------------
-
-    def compatible(self, other: "LatencySketch") -> bool:
-        """Whether two sketches share bucketing and may merge."""
-        return (
-            self.relative_error == other.relative_error
-            and self.min_value == other.min_value
-            and self.max_value == other.max_value
-        )
-
-    def merge(self, other: "LatencySketch") -> "LatencySketch":
-        """Fold another sketch into this one (in place; returns self).
-
-        Raises:
-            ValueError: when bucket parameters differ — merging those
-                would silently corrupt the error bound.
-        """
-        if not self.compatible(other):
-            raise ValueError(
-                "cannot merge sketches with different parameters: "
-                f"({self.relative_error}, {self.min_value}, {self.max_value}) vs "
-                f"({other.relative_error}, {other.min_value}, {other.max_value})"
-            )
-        self.bins += other.bins
-        self.count += other.count
-        self.total += other.total
-        self.min_seen = min(self.min_seen, other.min_seen)
-        self.max_seen = max(self.max_seen, other.max_seen)
-        self.overflow += other.overflow
-        return self
-
-    def copy(self) -> "LatencySketch":
-        """An independent deep copy (merge fodder for the property tests)."""
-        duplicate = LatencySketch(self.relative_error, self.min_value, self.max_value)
-        duplicate.bins = self.bins.copy()
-        duplicate.count = self.count
-        duplicate.total = self.total
-        duplicate.min_seen = self.min_seen
-        duplicate.max_seen = self.max_seen
-        duplicate.overflow = self.overflow
-        return duplicate
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready summary (quantiles, extrema, error bound, overflow)."""
         empty = self.count == 0
@@ -276,27 +230,6 @@ class LatencySketch:
             "relative_error": self.relative_error,
             "sum": self.total,
         }
-
-    # Sketches cross the fork boundary inside LiveSnapshots; __slots__
-    # needs explicit pickle support, and a mostly-empty bin array (the
-    # per-item worker captures) travels sparse to keep the pipe cheap.
-    def __getstate__(self):
-        state = {name: getattr(self, name) for name in self.__slots__}
-        occupied = np.flatnonzero(self.bins)
-        if occupied.size * 3 < self.bins.size:
-            state["bins"] = ("sparse", self.bins.size, occupied, self.bins[occupied])
-        return state
-
-    def __setstate__(self, state):
-        bins = state["bins"]
-        if isinstance(bins, tuple) and bins and bins[0] == "sparse":
-            _tag, size, occupied, values = bins
-            dense = np.zeros(size, dtype=np.int64)
-            dense[occupied] = values
-            state = dict(state)
-            state["bins"] = dense
-        for name, value in state.items():
-            setattr(self, name, value)
 
 
 class RollingCounter:
@@ -516,55 +449,6 @@ class SloStatus:
         }
 
 
-@dataclass(frozen=True)
-class LiveSnapshot:
-    """A picklable bundle of one process's live-plane state.
-
-    The worker-side analogue of :class:`~repro.obs.snapshot.ObsSnapshot`:
-    counters are plain sums and sketches merge by bucket addition, so
-    :func:`merge_live_snapshots` is associative and order-independent —
-    which is all the wall-clock plane needs (it never promises
-    byte-identity, only correct totals and bounded-error quantiles).
-    """
-
-    counters: Tuple[Tuple[str, int], ...] = ()
-    sketches: Tuple[Tuple[str, LatencySketch], ...] = ()
-    gauges: Tuple[Tuple[str, float], ...] = ()
-
-    def counter(self, name: str) -> int:
-        for key, value in self.counters:
-            if key == name:
-                return value
-        return 0
-
-
-def merge_live_snapshots(*snapshots: LiveSnapshot) -> LiveSnapshot:
-    """Merge snapshots: counters add, sketches merge, gauges keep max.
-
-    Gauge max is the honest cross-worker aggregate for the gauges the
-    plane records (queue depths, occupancies) — there is no global "last
-    write" between concurrent processes.
-    """
-    counters: Dict[str, int] = {}
-    sketches: Dict[str, LatencySketch] = {}
-    gauges: Dict[str, float] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.counters:
-            counters[name] = counters.get(name, 0) + value
-        for name, sketch in snapshot.sketches:
-            if name in sketches:
-                sketches[name].merge(sketch)
-            else:
-                sketches[name] = sketch.copy()
-        for name, value in snapshot.gauges:
-            gauges[name] = max(gauges.get(name, -math.inf), value)
-    return LiveSnapshot(
-        counters=tuple(sorted(counters.items())),
-        sketches=tuple(sorted(sketches.items(), key=lambda pair: pair[0])),
-        gauges=tuple(sorted(gauges.items())),
-    )
-
-
 class LiveTelemetry:
     """The live-plane registry: sketches, rolling rates, gauges, flights.
 
@@ -737,31 +621,6 @@ class LiveTelemetry:
             return False
         return self.dump_flight("refusal-spike") is not None
 
-    # --- fork-worker capture -----------------------------------------------------
-
-    def snapshot(self) -> LiveSnapshot:
-        """Package counters, sketches, and gauges for the merge."""
-        return LiveSnapshot(
-            counters=tuple(sorted(self._counters.items())),
-            sketches=tuple(
-                (name, sketch.copy()) for name, sketch in sorted(self._sketches.items())
-            ),
-            gauges=tuple(sorted(self._gauges.items())),
-        )
-
-    def absorb(self, snapshot: LiveSnapshot) -> None:
-        """Fold a worker's live snapshot into this plane."""
-        for name, value in snapshot.counters:
-            self.count(name, value)
-        for name, sketch in snapshot.sketches:
-            mine = self._sketches.get(name)
-            if mine is None:
-                self._sketches[name] = sketch.copy()
-            else:
-                mine.merge(sketch)
-        for name, value in snapshot.gauges:
-            self._gauges[name] = max(self._gauges.get(name, -math.inf), value)
-
 
 class NullLive:
     """The zero-cost default live plane: every verb is a no-op.
@@ -819,12 +678,6 @@ class NullLive:
 
     def check_refusal_spike(self, counter: str = "serve.refusals") -> bool:
         return False
-
-    def snapshot(self) -> LiveSnapshot:
-        return LiveSnapshot()
-
-    def absorb(self, snapshot: LiveSnapshot) -> None:
-        return None
 
 
 #: The shared no-op live plane every component defaults to.

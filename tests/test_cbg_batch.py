@@ -333,25 +333,41 @@ def _fuzz_solver_inputs(index):
 
 
 def _remeasured(matrix, columns, seed):
-    """``matrix`` with ``columns`` re-measured: stretched, shrunk, and
-    with answers lost and gained."""
+    """``matrix`` with ``columns`` re-measured: each takes another target's
+    column (its successor on a seeded cycle through all targets) and loses
+    about a fifth of its answers.
+
+    A subset of a real target's disks stays feasible, so the moved columns
+    reach the certified path instead of the exact fallback, which answers
+    from the matrix itself and would hide a stale per-target stat.
+    """
     rng = np.random.default_rng(seed)
     new = matrix.copy()
     cols = np.asarray(columns, dtype=np.intp)
-    block = new[:, cols] * rng.uniform(0.7, 1.4, (matrix.shape[0], cols.size))
+    cycle = rng.permutation(matrix.shape[1])
+    donor = np.empty_like(cycle)
+    donor[cycle] = np.roll(cycle, -1)
+    block = matrix[:, donor[cols]]
     block[rng.random(block.shape) < 0.2] = np.nan
-    gained = np.isnan(block) & (rng.random(block.shape) < 0.3)
-    block[gained] = rng.uniform(5.0, 200.0, int(gained.sum()))
     new[:, cols] = block
     return new
 
 
+def _exact_fallbacks(obs):
+    return obs.metrics.counters().get("cbg.batch_exact_fallback", 0)
+
+
 def _assert_solver_matches_fresh(solver, vp_lats, vp_lons, matrix, columns=None):
     """Answers (all columns) and derived rows (``columns``, default all)
-    equal a fresh solver's over ``matrix``, bitwise."""
+    equal a fresh solver's over ``matrix``, bitwise, and the requested
+    stale rows are mostly answered on the certified path."""
     fresh = CbgBatchSolver(vp_lats, vp_lons, matrix)
     rows = np.arange(fresh.n_targets) if columns is None else np.asarray(columns)
-    got = solver.centroids(rows)
+    stale = int(solver._stale[rows].sum())
+    obs = Observer()
+    got = solver.centroids(rows, obs=obs)
+    if stale:
+        assert _exact_fallbacks(obs) < stale
     want = fresh.centroids(rows)
     _assert_bitwise(got[0], want[0])
     _assert_bitwise(got[1], want[1])
@@ -421,7 +437,9 @@ class TestSolverRowReplacement:
         solver.replace_columns(moved, columns)
         assert solver._radii_t[5].tobytes() == before  # nothing derived yet
         fresh = CbgBatchSolver(vp_lats, vp_lons, moved)
-        got = solver.centroids([3, 0, 3])
+        obs = Observer()
+        got = solver.centroids([3, 0, 3], obs=obs)
+        assert _exact_fallbacks(obs) < 2
         want = fresh.centroids([3, 0, 3])
         _assert_bitwise(got[0], want[0])
         _assert_bitwise(got[1], want[1])

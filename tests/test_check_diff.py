@@ -84,16 +84,18 @@ def _perturbed_batch(original):
     return broken
 
 
-def _env_dependent_trial(trial):
+def _env_dependent_trial(
+    vp_lats, vp_lons, matrix, target_lats, target_lons, seed, label, size, obs,
+    checker, trial,
+):
     """Stands in for ``fig2._trial_median``: diverges only under workers.
 
-    Module-level so forked pool workers can unpickle it by reference. The
+    Takes the worker's signature, since the campaign binds its arrays to
+    whatever ``fig2._trial_median`` names when the fan-out starts. The
     serial leg of the diff runs with ``REPRO_WORKERS`` unset and sees the
     clean value; the parallel leg sets it and sees the perturbed one.
     """
-    from repro.experiments import fig2
-
-    value = fig2._TRIAL_CTX["size"] * 10.0 + trial
+    value = size * 10.0 + trial
     if os.environ.get("REPRO_WORKERS"):
         value += 0.125
     return value
@@ -102,14 +104,13 @@ def _env_dependent_trial(trial):
 from repro.hints.trie import _find_one as _real_find_one
 
 
-def _env_dependent_find(index):
+def _env_dependent_find(names, trie, obs, index):
     """Stands in for ``hints.trie._find_one``: diverges only under workers.
 
-    Module-level so forked pool workers resolve it by reference; the
-    serial leg sees real matches, the parallel leg (``REPRO_WORKERS``
+    The serial leg sees real matches, the parallel leg (``REPRO_WORKERS``
     set) sees none.
     """
-    result = _real_find_one(index)
+    result = _real_find_one(names, trie, obs, index)
     if os.environ.get("REPRO_WORKERS"):
         return None
     return result

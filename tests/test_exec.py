@@ -2,27 +2,32 @@
 
 The contract under test is the one :mod:`repro.exec.pool` documents —
 ``parallel_map`` returns ``[fn(item) for item in items]`` byte-identically
-regardless of worker count — plus the campaign-level consequence: Figure 2
-trials and street-level targets produce identical results serial vs
-multi-worker, because their randomness is counter-keyed per work item.
+regardless of worker count — plus the campaign-level consequences: Figure
+2 trials, street-level targets and drift revisions produce identical
+results serial vs multi-worker, because their randomness is counter-keyed
+per work item; and nothing a campaign binds for its fan-out outlives the
+call.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from repro import hints
 from repro.exec import chunked, default_chunksize, parallel_map, worker_count
 from repro.exec.pool import _fork_context
-from repro.experiments import fig2, street_runner
+from repro.experiments import drift, fig2, street_runner
 from repro.obs.observer import Observer
 from repro.experiments.scenario import get_scenario
 
 
 def _square(x: int) -> int:
-    """Module-level worker (picklable by reference)."""
+    """Module-level worker."""
     return x * x
 
 
@@ -106,6 +111,16 @@ class TestParallelMap:
         items = list(range(9))
         assert parallel_map(_square, items) == [x * x for x in items]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_closures_run_unpickled(self, workers):
+        """A lambda over a local array maps alike serially and forked."""
+        offsets = np.arange(5.0)
+        items = list(range(7))
+        expected = [float(offsets.sum()) + x for x in items]
+        assert parallel_map(
+            lambda x: float(offsets.sum()) + x, items, workers=workers
+        ) == expected
+
 
 class TestCampaignDeterminism:
     """Serial and multi-worker campaigns must be byte-identical."""
@@ -162,3 +177,39 @@ class TestCampaignDeterminism:
         parallel_counts = obs_parallel.metrics.counters()
         assert serial_counts == parallel_counts
         assert serial_counts.get("street_level.targets") == 4
+
+    def test_drift_identical(self, monkeypatch):
+        if _fork_context() is None:  # pragma: no cover - non-POSIX
+            pytest.skip("fork unavailable")
+        scenario = get_scenario("quick")
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        serial = drift.run_drift(scenario)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        parallel = drift.run_drift(scenario)
+        assert serial.table == parallel.table
+        np.testing.assert_equal(parallel.series, serial.series)
+        np.testing.assert_equal(parallel.measured, serial.measured)
+
+
+def _observer_outlives(campaign) -> bool:
+    """Whether an observed quick scenario's observer survives ``campaign``
+    once the caller has dropped the scenario and the observer."""
+    obs = Observer()
+    scenario = get_scenario("quick", obs=obs)
+    campaign(scenario)
+    probe = weakref.ref(obs)
+    del obs, scenario
+    gc.collect()
+    return probe() is not None
+
+
+class TestCampaignStateRetention:
+    """A campaign's fan-out state lives and dies with its call."""
+
+    def test_fig2a_releases_the_observer(self):
+        assert not _observer_outlives(
+            lambda scenario: fig2.run_fig2a(scenario, sizes=(10,), trials=2)
+        )
+
+    def test_mine_hints_releases_the_observer(self):
+        assert not _observer_outlives(hints.mine_hints)

@@ -1,19 +1,16 @@
 """The operational telemetry plane: sketches, rates, flights, exporters.
 
-Property suites mirror ``test_obs_snapshot.py`` on the deterministic
-side: merging live sketches/snapshots must be associative and
-order-independent, and every sketch quantile must stay within the
-documented relative-error bound over fuzzed latency distributions. The
-exporter tests pin the Prometheus exposition grammar, the JSON scrape
-schema, and the run-dir integration (live artifacts land beside — never
-inside — the deterministic ones).
+Every sketch quantile must stay within the documented relative-error
+bound over fuzzed latency distributions. The exporter tests pin the
+Prometheus exposition grammar, the JSON scrape schema, and the run-dir
+integration (live artifacts land beside — never inside — the
+deterministic ones).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -24,13 +21,11 @@ from repro.obs.live import (
     FlightRecord,
     FlightRecorder,
     LatencySketch,
-    LiveSnapshot,
     LiveTelemetry,
     NullLive,
     RollingCounter,
     SloPolicy,
     SloStatus,
-    merge_live_snapshots,
 )
 from repro.obs.prom import (
     SCRAPE_SCHEMA,
@@ -150,77 +145,6 @@ class TestLatencySketch:
         sketch = LatencySketch()
         sketch.add_many(np.linspace(0.001, 0.1, 100))
         assert sketch.percentile(95) == sketch.quantile(0.95)
-
-    def test_pickle_roundtrip_dense_and_sparse(self):
-        sparse = LatencySketch()
-        sparse.add(0.01)
-        rng = np.random.default_rng(3)
-        dense = LatencySketch()
-        dense.add_many(rng.uniform(1e-5, 100.0, 20000))
-        for sketch in (sparse, dense):
-            clone = pickle.loads(pickle.dumps(sketch))
-            assert np.array_equal(clone.bins, sketch.bins)
-            assert clone.count == sketch.count
-            assert clone.quantile(0.99) == sketch.quantile(0.99)
-        # The one-item worker capture pickles small.
-        assert len(pickle.dumps(sparse)) < len(pickle.dumps(dense))
-
-
-class TestSketchMerge:
-    def test_merge_equals_union_stream(self):
-        rng = np.random.default_rng(11)
-        a_values = rng.lognormal(-6, 1.0, 400)
-        b_values = rng.exponential(0.01, 300)
-        union = LatencySketch()
-        union.add_many(np.concatenate([a_values, b_values]))
-        a, b = LatencySketch(), LatencySketch()
-        a.add_many(a_values)
-        b.add_many(b_values)
-        merged = a.copy().merge(b)
-        assert np.array_equal(merged.bins, union.bins)
-        assert merged.count == union.count
-        assert merged.quantile(0.5) == union.quantile(0.5)
-        assert merged.quantile(0.99) == union.quantile(0.99)
-        assert merged.total == pytest.approx(union.total)
-
-    def test_merge_is_associative_and_order_independent(self):
-        """Mirrors the ObsSnapshot merge property suite: any grouping and
-        any permutation of worker sketches yields identical bins (and so
-        identical quantile answers)."""
-        rng = np.random.default_rng(13)
-        parts = []
-        for _ in range(5):
-            sketch = LatencySketch()
-            sketch.add_many(rng.lognormal(-6, 1.5, int(rng.integers(10, 200))))
-            parts.append(sketch)
-
-        def fold(sketches):
-            out = LatencySketch()
-            for sketch in sketches:
-                out.merge(sketch)
-            return out
-
-        left = fold(parts)
-        # Right-associated grouping.
-        right = parts[-1].copy()
-        for sketch in reversed(parts[:-1]):
-            merged = sketch.copy()
-            merged.merge(right)
-            right = merged
-        assert np.array_equal(left.bins, right.bins)
-        assert left.count == right.count
-        assert left.total == pytest.approx(right.total)
-        for permutation_seed in range(4):
-            order = np.random.default_rng(permutation_seed).permutation(len(parts))
-            shuffled = fold([parts[i] for i in order])
-            assert np.array_equal(shuffled.bins, left.bins)
-            assert shuffled.quantile(0.95) == left.quantile(0.95)
-
-    def test_incompatible_parameters_refuse_to_merge(self):
-        coarse = LatencySketch(relative_error=0.05)
-        fine = LatencySketch(relative_error=0.01)
-        with pytest.raises(ValueError):
-            fine.merge(coarse)
 
 
 class TestRollingCounter:
@@ -357,42 +281,6 @@ class TestLiveTelemetry:
         assert set(live.gauges()) == {"serve.queue_depth"}
         assert set(live.sketches()) == {"serve.latency_s"}
 
-    def test_snapshot_absorb_roundtrip(self):
-        worker = LiveTelemetry()
-        worker.count("exec.items", 3)
-        worker.observe_many("exec.item_s", [0.1, 0.2, 0.3])
-        worker.gauge("serve.queue_depth", 4)
-        parent = LiveTelemetry()
-        parent.count("exec.items", 1)
-        parent.observe("exec.item_s", 0.4)
-        parent.gauge("serve.queue_depth", 2)
-        parent.absorb(worker.snapshot())
-        assert parent.counter("exec.items") == 4
-        assert parent.sketch("exec.item_s").count == 4
-        assert parent.gauge_value("serve.queue_depth") == 4.0  # max wins
-
-    def test_merge_live_snapshots_is_order_independent(self):
-        snapshots = []
-        for index in range(4):
-            live = LiveTelemetry()
-            live.count("exec.items", index + 1)
-            live.observe("exec.item_s", 0.01 * (index + 1))
-            live.gauge("g", float(index))
-            snapshots.append(live.snapshot())
-        merged = merge_live_snapshots(*snapshots)
-        reversed_merge = merge_live_snapshots(*reversed(snapshots))
-        assert merged.counters == reversed_merge.counters
-        assert merged.gauges == reversed_merge.gauges
-        assert merged.counter("exec.items") == 10
-        a, b = merge_live_snapshots(*snapshots[:2]), merge_live_snapshots(*snapshots[2:])
-        regrouped = merge_live_snapshots(a, b)
-        assert regrouped.counters == merged.counters
-        for (name_a, sketch_a), (name_b, sketch_b) in zip(
-            merged.sketches, regrouped.sketches
-        ):
-            assert name_a == name_b
-            assert np.array_equal(sketch_a.bins, sketch_b.bins)
-
     def test_flight_dump_cooldown_and_dir(self, tmp_path):
         live = LiveTelemetry(dump_dir=tmp_path)
         assert live.dump_flight() is None  # nothing recorded yet
@@ -438,9 +326,6 @@ class TestLiveTelemetry:
         assert null.slo_statuses() == []
         assert null.dump_flight() is None
         assert not null.check_refusal_spike()
-        assert null.snapshot() == LiveSnapshot()
-        null.absorb(LiveSnapshot(counters=(("x", 1),)))
-        assert null.counter("x") == 0
 
 
 class TestExporters:

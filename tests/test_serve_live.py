@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from functools import partial
 
 import pytest
 
@@ -281,17 +282,14 @@ def _slow_square(x: int) -> int:
     return x * x
 
 
-def _observed_square(x: int) -> int:
-    from repro.exec.pool import _CAPTURE_CTX
-
-    obs = _CAPTURE_CTX.get("obs")
-    if obs is not None and obs.enabled:
-        obs.count("squares")
+def _observed_square(obs, x: int) -> int:
+    obs.count("squares")
     return x * x
 
 
 class TestPoolLiveCapture:
-    """parallel_map merges worker-side live sketches back to the parent."""
+    """parallel_map records every item's wall time in the parent's plane,
+    timed in the worker for forked runs."""
 
     def test_serial_capture(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -318,7 +316,9 @@ class TestPoolLiveCapture:
 
         def run(live):
             obs = Observer()
-            result = parallel_map(_observed_square, range(8), obs=obs, live=live)
+            result = parallel_map(
+                partial(_observed_square, obs), range(8), obs=obs, live=live
+            )
             return result, obs.events.to_jsonl(), obs.metrics_report()
 
         plain_result, plain_events, plain_metrics = run(None)
@@ -330,13 +330,13 @@ class TestPoolLiveCapture:
         assert live.counter("exec.items") == 8
 
     def test_merge_paths_agree_with_direct_sketch(self, monkeypatch):
-        """The merged parallel sketch covers the same population a direct
+        """The parallel run's sketch covers the same population a direct
         serial sketch would (same count; quantiles within 2x bound)."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
         live = LiveTelemetry()
         parallel_map(_slow_square, range(10), live=live)
-        merged = live.sketch("exec.item_s")
+        recorded = live.sketch("exec.item_s")
         direct = LatencySketch()
         direct.add_many([0.001] * 10)  # the floor of each timed item
-        assert merged.count == direct.count
-        assert merged.quantile(0.5) >= direct.quantile(0.5) * 0.98
+        assert recorded.count == direct.count
+        assert recorded.quantile(0.5) >= direct.quantile(0.5) * 0.98

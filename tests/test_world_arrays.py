@@ -3,20 +3,22 @@
 Covers the :mod:`repro.world.arrays` contract end to end: publish/attach
 round-trips are bitwise, views are read-only, tokens travel by pickle,
 owners unlink on close (and on interpreter exit, so an abandoned parent
-never leaks ``/dev/shm`` space), and the executor integration — workers
-attach instead of COW-inheriting, platforms without fork or shared memory
-degrade to the serial path computing identical bytes.
+never leaks ``/dev/shm`` space), and the executor integration — a work
+function bound to a token attaches the segment instead of COW-inheriting
+the world, and platforms without fork degrade to the serial path
+computing identical bytes.
 """
 
 import pickle
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.exec import pool
-from repro.exec.pool import arena_context, attached_world_arrays, parallel_map
+from repro.exec.pool import parallel_map
 from repro.serve.state import QueryState
 from repro.topology import Topology
 from repro.world import WorldConfig, build_world
@@ -137,13 +139,14 @@ class TestWorldArrays:
                 handle.close()
 
 
-def _arena_route_sum(pair):
-    """Work item: route a host block through the attached arena graph."""
-    arrays = attached_world_arrays()
-    assert arrays is not None, "worker did not inherit the arena token"
-    graph = arrays.router_graph()
-    src, dst = pair
-    return graph.path_km_matrix(np.asarray(src), np.asarray(dst))
+def _arena_route_sum(token, pair):
+    """Work item: route a host block through the arena graph behind ``token``."""
+    arrays, arena = WorldArrays.attach(token)
+    try:
+        src, dst = pair
+        return arrays.router_graph().path_km_matrix(np.asarray(src), np.asarray(dst))
+    finally:
+        arena.close()
 
 
 class TestPoolIntegration:
@@ -153,44 +156,26 @@ class TestPoolIntegration:
             (list(range(9, 14)), list(range(14, 18))),
             (list(range(2, 7)), list(range(11, 16))),
         ]
-        with quick_arrays.share() as arena, arena_context(arena.token):
+        with quick_arrays.share() as arena:
+            route_sum = partial(_arena_route_sum, arena.token)
             monkeypatch.delenv("REPRO_WORKERS", raising=False)
-            serial = parallel_map(_arena_route_sum, items)
+            serial = parallel_map(route_sum, items)
             monkeypatch.setenv("REPRO_WORKERS", "2")
-            parallel = parallel_map(_arena_route_sum, items)
+            parallel = parallel_map(route_sum, items)
         assert len(serial) == len(parallel) == len(items)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b)
-
-    def test_no_token_returns_none(self):
-        assert attached_world_arrays() is None
 
     def test_no_fork_platform_degrades_serial(self, quick_arrays, monkeypatch):
         monkeypatch.setattr(pool, "_fork_context", lambda: None)
         monkeypatch.setenv("REPRO_WORKERS", "4")
         items = [(list(range(0, 4)), list(range(4, 8)))]
-        with quick_arrays.share() as arena, arena_context(arena.token):
-            degraded = parallel_map(_arena_route_sum, items)
+        with quick_arrays.share() as arena:
+            degraded = parallel_map(partial(_arena_route_sum, arena.token), items)
         expected = quick_arrays.router_graph().path_km_matrix(
             np.arange(0, 4), np.arange(4, 8)
         )
         assert np.array_equal(degraded[0], expected)
-
-    def test_unlinked_arena_yields_none(self, quick_arrays):
-        arena = quick_arrays.share()
-        token = arena.token
-        arena.close()
-        with arena_context(token):
-            assert attached_world_arrays() is None
-
-    def test_context_nests_and_restores(self, quick_arrays):
-        with quick_arrays.share() as arena:
-            with arena_context(arena.token):
-                assert pool._ARENA_TOKEN is arena.token
-                with arena_context(None):
-                    assert attached_world_arrays() is None
-                assert pool._ARENA_TOKEN is arena.token
-            assert pool._ARENA_TOKEN is None
 
 
 class TestQueryStateArena:
